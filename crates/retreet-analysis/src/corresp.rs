@@ -11,17 +11,20 @@
 //! actions of an earlier pass.
 //!
 //! Ordering side conditions that involve *different* nodes — a pass writing
-//! a whole subtree while another reads one node of it — are discharged with
-//! the NFTA region-overlap machinery of [`retreet_mso::encode`], so a
-//! successful match is sound for every tree and valuation.  Anything the
-//! matcher does not understand yields [`CorrespVerdict::NotApplicable`],
-//! and the caller falls back to a bounded engine.
+//! a whole subtree while another reads one node of it — are discharged by
+//! the exact region-overlap decider [`retreet_mso::encode::check_overlap`],
+//! and structural guards are compared with
+//! [`retreet_mso::encode::guards_equivalent`]; both quantify over every
+//! tree, so a successful match is sound for every tree and valuation.
+//! Anything the matcher does not understand yields
+//! [`CorrespVerdict::NotApplicable`], and the caller falls back to a
+//! bounded engine.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use retreet_lang::ast::{AExpr, Assign, BExpr, CallBlock, Ident, Program, Stmt, MAIN};
 use retreet_mso::encode::{
-    check_overlap_k, guards_equivalent_k, ConflictSide, GuardExpr, Region, StructConstraint,
+    check_overlap, guards_equivalent, ConflictSide, GuardExpr, Region, StructConstraint,
 };
 
 use crate::summary::{step_of, transitive_field_summaries, FieldSummary};
@@ -182,6 +185,15 @@ fn bexpr_vars(expr: &BExpr, out: &mut BTreeSet<Ident>) {
     }
 }
 
+/// Whether two unguarded regions can touch a common node on some tree.
+fn may_overlap(a: Region, b: Region) -> bool {
+    let side = |region| ConflictSide {
+        region,
+        guard: StructConstraint::default(),
+    };
+    check_overlap(&side(a), &side(b))
+}
+
 /// Matching / verification state threaded through one entry.
 #[derive(Debug, Clone, Default)]
 struct MatchState {
@@ -216,7 +228,6 @@ struct Verifier<'a> {
     orig_summaries: Vec<FieldSummary>,
     proven: BTreeSet<EntryKey>,
     in_progress: Vec<EntryKey>,
-    overlap_memo: BTreeMap<(Region, Region), bool>,
     entries_verified: usize,
 }
 
@@ -229,20 +240,8 @@ impl<'a> Verifier<'a> {
             orig_summaries: transitive_field_summaries(&table),
             proven: BTreeSet::new(),
             in_progress: Vec::new(),
-            overlap_memo: BTreeMap::new(),
             entries_verified: 0,
         }
-    }
-
-    fn may_overlap(&mut self, a: Region, b: Region) -> bool {
-        let arity = self.original.arity.max(self.fused.arity);
-        *self.overlap_memo.entry((a, b)).or_insert_with(|| {
-            let side = |region| ConflictSide {
-                region,
-                guard: StructConstraint::default(),
-            };
-            !check_overlap_k(&side(a), &side(b), arity).is_disjoint()
-        })
     }
 
     /// Field footprint of a role item, over-approximated: direct accesses at
@@ -329,14 +328,12 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    fn field_conflict(&mut self, a: &Item, b: &Item) -> bool {
+    fn field_conflict(&self, a: &Item, b: &Item) -> bool {
         let fp_a = self.footprint(a);
         let fp_b = self.footprint(b);
         for (region_a, field_a, write_a) in &fp_a {
             for (region_b, field_b, write_b) in &fp_b {
-                if field_a == field_b
-                    && (*write_a || *write_b)
-                    && self.may_overlap(*region_a, *region_b)
+                if field_a == field_b && (*write_a || *write_b) && may_overlap(*region_a, *region_b)
                 {
                     return true;
                 }
@@ -345,7 +342,7 @@ impl<'a> Verifier<'a> {
         false
     }
 
-    fn independent(&mut self, a: &Item, b: &Item) -> bool {
+    fn independent(&self, a: &Item, b: &Item) -> bool {
         let (mut reads_a, mut writes_a) = (BTreeSet::new(), BTreeSet::new());
         let (mut reads_b, mut writes_b) = (BTreeSet::new(), BTreeSet::new());
         Verifier::var_rw(a, &mut reads_a, &mut writes_a);
@@ -359,7 +356,7 @@ impl<'a> Verifier<'a> {
     /// The order side conditions over one matched scope: each role's item
     /// order is preserved up to independent reorderings, and a later pass
     /// never runs a conflicting action before an earlier pass.
-    fn check_ordering(&mut self, scope: &Scope, claims: &Claims) -> Result<(), String> {
+    fn check_ordering(&self, scope: &Scope, claims: &Claims) -> Result<(), String> {
         // Per role: (role item index, fused position).
         let mut per_role: Vec<Vec<(usize, usize)>> = vec![Vec::new(); scope.roles.len()];
         for (pos, list) in claims.iter().enumerate() {
@@ -378,9 +375,7 @@ impl<'a> Verifier<'a> {
                     if first_pos <= second_pos {
                         continue;
                     }
-                    let a = scope.roles[role][first].clone();
-                    let b = scope.roles[role][second].clone();
-                    if !self.independent(&a, &b) {
+                    if !self.independent(&scope.roles[role][first], &scope.roles[role][second]) {
                         return Err(format!("pass {role} items reordered without independence"));
                     }
                 }
@@ -395,9 +390,12 @@ impl<'a> Verifier<'a> {
                             // entry preserves the pass order inside it.
                             continue;
                         }
-                        let a = scope.roles[early][item_e].clone();
-                        let b = scope.roles[late][item_l].clone();
-                        if self.field_conflict(&a, &b) && pos_e > pos_l {
+                        if pos_e > pos_l
+                            && self.field_conflict(
+                                &scope.roles[early][item_e],
+                                &scope.roles[late][item_l],
+                            )
+                        {
                             return Err(format!(
                                 "pass {late} overtakes a conflicting action of pass {early}"
                             ));
@@ -413,9 +411,7 @@ impl<'a> Verifier<'a> {
         match subst_bexpr(role_guard, sigma) {
             Some(mapped) if &mapped == fused_guard => true,
             Some(mapped) => match (to_guard_expr(&mapped), to_guard_expr(fused_guard)) {
-                (Some(a), Some(b)) => {
-                    guards_equivalent_k(&a, &b, self.original.arity.max(self.fused.arity))
-                }
+                (Some(a), Some(b)) => guards_equivalent(&a, &b),
                 _ => false,
             },
             None => false,

@@ -243,7 +243,7 @@ fn run_engine_inner(
                 // A found race is definitive (hence unbounded); a bounded
                 // all-clear is *not* an automata-grade answer, so skip and
                 // let the bounded engines claim it at their own soundness.
-                StructuralRaceAnalysis::Candidate { description, .. } => {
+                StructuralRaceAnalysis::Candidate { description } => {
                     match check_data_race_cancellable(program, &config.race_options(), cancel) {
                         Some(RaceVerdict::Race(witness)) => {
                             answer((Outcome::Race(Box::new(witness)), Soundness::Unbounded))

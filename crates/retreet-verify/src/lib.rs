@@ -1433,10 +1433,15 @@ mod tests {
         assert!(results[1].as_ref().unwrap().is_valid());
         assert!(results[2].as_ref().unwrap().is_race_free());
         assert!(!results[3].as_ref().unwrap().is_race_free());
-        // The duplicate query was answered by cache or coalescing, not by a
-        // second portfolio dispatch.
-        let dup = results[3].as_ref().unwrap();
-        assert!(dup.cached || dup.coalesced);
+        // Exactly one of the two duplicates was answered by cache or
+        // coalescing, not by a second portfolio dispatch.  Which one is up
+        // to the batch's scheduling on a multi-core host.
+        let reused = |i: usize| {
+            let verdict = results[i].as_ref().unwrap();
+            verdict.cached || verdict.coalesced
+        };
+        assert!(reused(0) != reused(3));
+        assert_eq!(verifier.serving_stats().engine_runs, 3);
     }
 
     #[test]

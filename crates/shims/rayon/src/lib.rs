@@ -18,6 +18,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+/// Live worker tokens of the process-wide pool every public entry point
+/// draws from.
 static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Number of threads the shim is willing to keep busy (the machine's
@@ -35,23 +37,23 @@ pub fn current_num_threads() -> usize {
     })
 }
 
-/// Tries to reserve one worker token; returns whether the reservation
-/// succeeded.  Tokens bound the total number of extra OS threads alive at
-/// any moment, across nested joins and scopes.
-fn try_reserve_worker() -> bool {
+/// Tries to reserve one worker token from the pool counted by `active`.
+/// Tokens bound the total number of extra OS threads alive at any moment,
+/// across nested joins and scopes.
+fn try_reserve_worker(active: &'static AtomicUsize) -> Option<WorkerToken> {
     let limit = current_num_threads();
-    let mut current = ACTIVE_WORKERS.load(Ordering::Relaxed);
+    let mut current = active.load(Ordering::Relaxed);
     loop {
         if current + 1 >= limit {
-            return false;
+            return None;
         }
-        match ACTIVE_WORKERS.compare_exchange_weak(
+        match active.compare_exchange_weak(
             current,
             current + 1,
             Ordering::Relaxed,
             Ordering::Relaxed,
         ) {
-            Ok(_) => return true,
+            Ok(_) => return Some(WorkerToken(active)),
             Err(observed) => current = observed,
         }
     }
@@ -60,11 +62,11 @@ fn try_reserve_worker() -> bool {
 /// Releases its worker token when dropped — including on unwind, so a
 /// panicking task cannot leak the token and silently degrade the whole
 /// process toward sequential execution.
-struct WorkerToken;
+struct WorkerToken(&'static AtomicUsize);
 
 impl Drop for WorkerToken {
     fn drop(&mut self) {
-        ACTIVE_WORKERS.fetch_sub(1, Ordering::Relaxed);
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -80,18 +82,27 @@ where
     RA: Send,
     RB: Send,
 {
-    if try_reserve_worker() {
-        std::thread::scope(|s| {
+    join_on(&ACTIVE_WORKERS, a, b)
+}
+
+fn join_on<A, B, RA, RB>(workers: &'static AtomicUsize, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    match try_reserve_worker(workers) {
+        Some(token) => std::thread::scope(|s| {
             let handle = s.spawn(move || {
-                let _token = WorkerToken;
+                let _token = token;
                 b()
             });
             let ra = a();
             let rb = handle.join().expect("rayon-shim: joined task panicked");
             (ra, rb)
-        })
-    } else {
-        (a(), b())
+        }),
+        None => (a(), b()),
     }
 }
 
@@ -103,13 +114,14 @@ pub fn spawn<F>(f: F)
 where
     F: FnOnce() + Send + 'static,
 {
-    if try_reserve_worker() {
-        std::thread::spawn(move || {
-            let _token = WorkerToken;
-            f();
-        });
-    } else {
-        f();
+    match try_reserve_worker(&ACTIVE_WORKERS) {
+        Some(token) => {
+            std::thread::spawn(move || {
+                let _token = token;
+                f();
+            });
+        }
+        None => f(),
     }
 }
 
@@ -117,6 +129,7 @@ where
 /// joined before [`scope`] returns.
 pub struct Scope<'scope, 'env: 'scope> {
     inner: &'scope std::thread::Scope<'scope, 'env>,
+    workers: &'static AtomicUsize,
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {
@@ -126,14 +139,15 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     where
         F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
     {
-        if try_reserve_worker() {
-            let inner = self.inner;
-            inner.spawn(move || {
-                let _token = WorkerToken;
-                f(&Scope { inner });
-            });
-        } else {
-            f(self);
+        match try_reserve_worker(self.workers) {
+            Some(token) => {
+                let (inner, workers) = (self.inner, self.workers);
+                inner.spawn(move || {
+                    let _token = token;
+                    f(&Scope { inner, workers });
+                });
+            }
+            None => f(self),
         }
     }
 }
@@ -144,7 +158,14 @@ pub fn scope<'env, F, R>(f: F) -> R
 where
     F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
 {
-    std::thread::scope(|s| f(&Scope { inner: s }))
+    scope_on(&ACTIVE_WORKERS, f)
+}
+
+fn scope_on<'env, F, R>(workers: &'static AtomicUsize, f: F) -> R
+where
+    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
+{
+    std::thread::scope(|s| f(&Scope { inner: s, workers }))
 }
 
 #[cfg(test)]
@@ -159,23 +180,28 @@ mod tests {
         assert_eq!(b, "ok");
     }
 
+    // The leak checks count tokens in a pool of their own: sibling tests
+    // run concurrently and may hold tokens of the process-wide pool.
+
     #[test]
     fn nested_joins_do_not_deadlock_or_leak_tokens() {
+        static OWN: AtomicUsize = AtomicUsize::new(0);
         fn sum(depth: u32) -> u64 {
             if depth == 0 {
                 return 1;
             }
-            let (l, r) = join(|| sum(depth - 1), || sum(depth - 1));
+            let (l, r) = join_on(&OWN, || sum(depth - 1), || sum(depth - 1));
             l + r
         }
         assert_eq!(sum(10), 1024);
-        assert_eq!(ACTIVE_WORKERS.load(Ordering::SeqCst), 0);
+        assert_eq!(OWN.load(Ordering::SeqCst), 0);
     }
 
     #[test]
     fn scope_joins_all_spawned_tasks() {
+        static OWN: AtomicUsize = AtomicUsize::new(0);
         let counter = AtomicU64::new(0);
-        scope(|s| {
+        scope_on(&OWN, |s| {
             for _ in 0..32 {
                 s.spawn(|_| {
                     counter.fetch_add(1, Ordering::SeqCst);
@@ -183,7 +209,7 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::SeqCst), 32);
-        assert_eq!(ACTIVE_WORKERS.load(Ordering::SeqCst), 0);
+        assert_eq!(OWN.load(Ordering::SeqCst), 0);
     }
 
     #[test]

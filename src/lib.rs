@@ -106,7 +106,7 @@
 //! | `NodeSel::{Cur, Left, Right}` in bytecode | `NodeSel::{Cur, Child(ChildAxis)}` — child selectors carry the axis |
 //! | `IterativeLowering { pre, mid, post, .. }` (three fixed segments) | `IterativeLowering { axes, call_results, segments, .. }` — `axes.len() + 1` straight-line segments, one per gap around the recursive calls, at any arity |
 //! | `FlatTree` with `left` / `right` index arrays | `FlatTree::from_value_tree_kary(&tree, &fields, arity)` — one `u32` child column per axis (`from_value_tree` remains the binary shorthand) |
-//! | `retreet_mso::encode::check_overlap(&a, &b)` / `guards_equivalent(&a, &b)` | `check_overlap_k(&a, &b, arity)` / `guards_equivalent_k(&a, &b, arity)` — the binary names remain as arity-2 shorthands; above arity 2 the overlap/equivalence question is decided by the direct region case analysis (the slotted binarization stays the documented semantics) |
+//! | `retreet_mso::encode::check_overlap(&a, &b) -> OverlapVerdict` / `check_overlap_k(&a, &b, arity)` and `guards_equivalent_k(&a, &b, arity)` | `check_overlap(&a, &b) -> bool` (true when some tree puts the regions in contact) / `guards_equivalent(&a, &b) -> bool` — one exact decider per question at every arity; `OverlapVerdict`, the `_k` twins, `overlap_formula(_k)` and `StructuralRaceAnalysis::Candidate::example` are gone (the NFTA encoding survives only as a test oracle) |
 //! | `TreeCorpus::new(max_nodes, &fields, valuations)` (binary only) | `TreeCorpus::with_arity(arity, max_nodes, &fields, valuations)` — k-ary shape enumeration; `ValueTree::complete_kary(arity, height, &fields, init)` builds complete k-ary measurement trees |
 //! | `run` / `tune` service requests pinned to binary trees | both accept an optional `"arity"` field (2 ≤ arity ≤ 8, at least the program's declared arity; out-of-range answers a typed `bad_request`); `TuneOptions` gains `tree_arity` |
 //!
