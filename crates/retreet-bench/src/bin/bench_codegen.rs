@@ -26,69 +26,23 @@
 //! phase fails to serve its verdicts from the cache (the honesty check on
 //! the `cached` flag).
 
-use retreet_bench::{codegen_report_to_json, measure_codegen_perf, render_codegen_report};
+use retreet_bench::harness::Flags;
+use retreet_bench::{codegen_report, measure_codegen_perf, render_codegen_report};
 use retreet_verify::Verifier;
 
-struct Args {
-    quick: bool,
-    out: String,
-    min_speedup: f64,
-    batches: usize,
-    per_batch: usize,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        out: String::from("BENCH_codegen.json"),
-        min_speedup: 1.0,
-        batches: 5,
-        per_batch: 3,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| iter.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = value("--out")?,
-            "--min-speedup" => {
-                args.min_speedup = value("--min-speedup")?
-                    .parse()
-                    .map_err(|e| format!("--min-speedup: {e}"))?
-            }
-            "--batches" => {
-                args.batches = value("--batches")?
-                    .parse()
-                    .map_err(|e| format!("--batches: {e}"))?
-            }
-            "--per-batch" => {
-                args.per_batch = value("--per-batch")?
-                    .parse()
-                    .map_err(|e| format!("--per-batch: {e}"))?
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_codegen [--quick] [--out PATH] [--min-speedup X] \
-                     [--batches N] [--per-batch N]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("bench_codegen: {message}");
-            std::process::exit(2);
-        }
-    };
+    let flags = Flags::parse(
+        "bench_codegen",
+        "bench_codegen [--quick] [--out PATH] [--min-speedup X] [--batches N] [--per-batch N]",
+        &["--quick"],
+        &["--out", "--min-speedup", "--batches", "--per-batch"],
+    );
+    let out = flags.get_or("--out", String::from("BENCH_codegen.json"));
+    let min_speedup = flags.get_or("--min-speedup", 1.0);
+    let batches = flags.get_or("--batches", 5);
+    let per_batch = flags.get_or("--per-batch", 3);
 
-    let (label, tree_height) = if args.quick {
+    let (label, tree_height) = if flags.switch("--quick") {
         ("quick", 10)
     } else {
         ("full", 14)
@@ -99,15 +53,10 @@ fn main() {
     let verifier = Verifier::builder().build();
 
     println!("== codegen tier ({label}, complete trees of height {tree_height}) ==");
-    let (rows, certs) = measure_codegen_perf(&verifier, args.batches, args.per_batch, tree_height);
+    let (rows, certs) = measure_codegen_perf(&verifier, batches, per_batch, tree_height);
     print!("{}", render_codegen_report(&rows, &certs));
 
-    let json = codegen_report_to_json(label, tree_height, &rows, &certs);
-    if let Err(err) = std::fs::write(&args.out, &json) {
-        eprintln!("bench_codegen: cannot write {}: {err}", args.out);
-        std::process::exit(1);
-    }
-    println!("report written to {}", args.out);
+    flags.write_report(&out, &codegen_report(label, tree_height, &rows, &certs));
 
     let mut failed = false;
     for row in &rows {
@@ -129,10 +78,10 @@ fn main() {
         }
     }
     let best = rows.iter().map(|r| r.vm_speedup()).fold(0.0_f64, f64::max);
-    if best < args.min_speedup {
+    if best < min_speedup {
         eprintln!(
             "bench_codegen: best VM speedup {:.2}x below minimum {:.2}x",
-            best, args.min_speedup
+            best, min_speedup
         );
         failed = true;
     }

@@ -27,87 +27,36 @@
 //! automata tier with an unbounded guarantee, and a revision that silently
 //! drops one of them back to a bounded-budget answer must not pass.
 
-use retreet_bench::{engine_perf_to_json, measure_engine_perf, render_engine_perf, Budget};
-
-struct Args {
-    quick_only: bool,
-    out: String,
-    ceiling_seconds: f64,
-    batches: usize,
-    per_batch: usize,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick_only: false,
-        out: String::from("BENCH_engines.json"),
-        ceiling_seconds: 60.0,
-        batches: 5,
-        per_batch: 3,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| iter.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--quick" => args.quick_only = true,
-            "--out" => args.out = value("--out")?,
-            "--ceiling-seconds" => {
-                args.ceiling_seconds = value("--ceiling-seconds")?
-                    .parse()
-                    .map_err(|e| format!("--ceiling-seconds: {e}"))?
-            }
-            "--batches" => {
-                args.batches = value("--batches")?
-                    .parse()
-                    .map_err(|e| format!("--batches: {e}"))?
-            }
-            "--per-batch" => {
-                args.per_batch = value("--per-batch")?
-                    .parse()
-                    .map_err(|e| format!("--per-batch: {e}"))?
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_engines [--quick] [--out PATH] [--ceiling-seconds S] \
-                     [--batches N] [--per-batch N]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(args)
-}
+use retreet_bench::harness::Flags;
+use retreet_bench::{engines_report, measure_engine_perf, render_engine_perf, Budget};
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("bench_engines: {message}");
-            std::process::exit(2);
-        }
-    };
+    let flags = Flags::parse(
+        "bench_engines",
+        "bench_engines [--quick] [--out PATH] [--ceiling-seconds S] [--batches N] [--per-batch N]",
+        &["--quick"],
+        &["--out", "--ceiling-seconds", "--batches", "--per-batch"],
+    );
+    let out = flags.get_or("--out", String::from("BENCH_engines.json"));
+    let ceiling_seconds = flags.get_or("--ceiling-seconds", 60.0);
+    let batches = flags.get_or("--batches", 5);
+    let per_batch = flags.get_or("--per-batch", 3);
 
     let quick = Budget::quick();
     let full = Budget::default();
     let mut sections: Vec<(&str, &Budget, _)> = Vec::new();
-    if !args.quick_only {
+    if !flags.switch("--quick") {
         println!("== full budget (default) ==");
-        let rows = measure_engine_perf(&full, args.batches, args.per_batch);
+        let rows = measure_engine_perf(&full, batches, per_batch);
         print!("{}", render_engine_perf(&rows));
         sections.push(("full", &full, rows));
     }
     println!("== quick budget ==");
-    let quick_rows = measure_engine_perf(&quick, args.batches, args.per_batch);
+    let quick_rows = measure_engine_perf(&quick, batches, per_batch);
     print!("{}", render_engine_perf(&quick_rows));
     sections.push(("quick", &quick, quick_rows));
 
-    let json = engine_perf_to_json(&sections);
-    if let Err(err) = std::fs::write(&args.out, &json) {
-        eprintln!("bench_engines: cannot write {}: {err}", args.out);
-        std::process::exit(1);
-    }
-    println!("report written to {}", args.out);
+    flags.write_report(&out, &engines_report(&sections));
 
     let mut failed = false;
     for (label, _, rows) in &sections {
@@ -134,10 +83,10 @@ fn main() {
                 );
                 failed = true;
             }
-            if row.optimized_seconds > args.ceiling_seconds {
+            if row.optimized_seconds > ceiling_seconds {
                 eprintln!(
                     "bench_engines: {label}/{} took {:.2}s, over the {:.0}s ceiling",
-                    row.id, row.optimized_seconds, args.ceiling_seconds
+                    row.id, row.optimized_seconds, ceiling_seconds
                 );
                 failed = true;
             }

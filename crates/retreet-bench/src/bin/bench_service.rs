@@ -46,62 +46,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
+use retreet_bench::harness::{array, num, Flags};
+use retreet_bench::object;
 use retreet_lang::corpus;
-use retreet_serve::{json, ServeOptions, Service};
+use retreet_serve::json;
+use retreet_serve::{ServeOptions, Service};
 use retreet_verify::FaultPlan;
-
-struct Args {
-    quick: bool,
-    out: String,
-    ceiling_seconds: f64,
-    rounds: usize,
-    min_scaling: f64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        out: String::from("BENCH_service.json"),
-        ceiling_seconds: 120.0,
-        rounds: 0,
-        min_scaling: 0.0,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| iter.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = value("--out")?,
-            "--ceiling-seconds" => {
-                args.ceiling_seconds = value("--ceiling-seconds")?
-                    .parse()
-                    .map_err(|e| format!("--ceiling-seconds: {e}"))?
-            }
-            "--rounds" => {
-                args.rounds = value("--rounds")?
-                    .parse()
-                    .map_err(|e| format!("--rounds: {e}"))?
-            }
-            "--min-scaling" => {
-                args.min_scaling = value("--min-scaling")?
-                    .parse()
-                    .map_err(|e| format!("--min-scaling: {e}"))?
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_service [--quick] [--out PATH] [--ceiling-seconds S] \
-                     [--rounds N] [--min-scaling F]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if args.rounds == 0 {
-        args.rounds = if args.quick { 20 } else { 60 };
-    }
-    Ok(args)
-}
 
 /// One request of the workload: the NDJSON line plus the verdict word every
 /// response must carry (the drift gate).
@@ -483,15 +433,23 @@ fn cold_restart(options: &ServeOptions, work: &[WorkItem]) -> Result<Phase, Stri
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("bench_service: {message}");
-            std::process::exit(2);
-        }
+    let flags = Flags::parse(
+        "bench_service",
+        "bench_service [--quick] [--out PATH] [--ceiling-seconds S] [--rounds N] [--min-scaling F]",
+        &["--quick"],
+        &["--out", "--ceiling-seconds", "--rounds", "--min-scaling"],
+    );
+    let quick = flags.switch("--quick");
+    let out = flags.get_or("--out", String::from("BENCH_service.json"));
+    let ceiling_seconds = flags.get_or("--ceiling-seconds", 120.0);
+    let rounds = match flags.get_or("--rounds", 0) {
+        0 if quick => 20,
+        0 => 60,
+        rounds => rounds,
     };
+    let min_scaling = flags.get_or("--min-scaling", 0.0);
 
-    let options = if args.quick {
+    let options = if quick {
         ServeOptions {
             race_nodes: 3,
             equiv_nodes: 4,
@@ -502,7 +460,7 @@ fn main() {
     } else {
         ServeOptions::default()
     };
-    let budget_label = if args.quick { "quick" } else { "full" };
+    let budget_label = if quick { "quick" } else { "full" };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Warm start: preload the corpus, then one single-threaded correctness
@@ -531,7 +489,7 @@ fn main() {
     let drifted = Arc::new(AtomicBool::new(false));
     let mut sections = Vec::new();
     for threads in [1usize, 4, 8] {
-        let section = run_section(&service, &work, threads, args.rounds, &drifted);
+        let section = run_section(&service, &work, threads, rounds, &drifted);
         println!(
             "{:>7} {:>10} {:>9.3} {:>12.0} {:>9} {:>9}",
             section.client_threads,
@@ -541,10 +499,10 @@ fn main() {
             section.p50_us,
             section.p99_us
         );
-        if section.wall_seconds > args.ceiling_seconds {
+        if section.wall_seconds > ceiling_seconds {
             eprintln!(
                 "bench_service: {} threads took {:.2}s, over the {:.0}s ceiling",
-                threads, section.wall_seconds, args.ceiling_seconds
+                threads, section.wall_seconds, ceiling_seconds
             );
             failed = true;
         }
@@ -612,88 +570,66 @@ fn main() {
         hit_rate, coalescing_rate
     );
 
-    let mut out = String::from("{\n  \"schema\": \"retreet-bench-service/v2\",\n");
-    out.push_str(
-        "  \"methodology\": \"warm-cache NDJSON serving: corpus preloaded via warm_start, \
-         then N client threads replay the full \\u00a75 request mix (race + equivalence + \
-         validity) against one shared Service; every response is checked against the \
-         paper's verdict; latencies are per-request wall clock including JSON parse; the \
-         cold burst issues one identical cold query from 8 threads and asserts exactly one \
-         engine run (single-flight); v2 adds three fresh-service robustness phases: shed \
-         rate under a full 1-slot cold queue with stalled engines, deadline-hit rate with \
-         engines stalled past a 60ms per-query deadline, and the warm-hit rate after a \
-         cold restart from the persisted verdict store (must be 1.0 with zero engine \
-         runs)\",\n",
-    );
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str(&format!(
-        "  \"budget\": {{ \"label\": \"{budget_label}\", \"race_nodes\": {}, \"equiv_nodes\": {}, \
-         \"validity_nodes\": {}, \"valuations\": {} }},\n",
-        options.race_nodes, options.equiv_nodes, options.validity_nodes, options.valuations
-    ));
-    out.push_str(&format!("  \"warm_start_preloaded\": {preloaded},\n"));
-    out.push_str("  \"sections\": [\n");
-    for (i, s) in sections.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"client_threads\": {}, \"requests\": {}, \"wall_seconds\": {:.4}, \
-             \"throughput_rps\": {:.0}, \"p50_us\": {}, \"p99_us\": {} }}{}\n",
-            s.client_threads,
-            s.requests,
-            s.wall_seconds,
-            s.throughput_rps,
-            s.p50_us,
-            s.p99_us,
-            if i + 1 < sections.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"scaling_8_over_1\": {scaling:.3},\n  \"cold_burst\": {{ \"threads\": {}, \
-         \"engine_runs\": 1, \"coalesced\": {}, \"cache_hits\": {} }},\n",
-        burst.0, burst.1, burst.2
-    ));
-    out.push_str(&format!(
-        "  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"collisions\": {}, \"entries\": {}, \
-         \"hit_rate\": {hit_rate:.4} }},\n",
-        cache.hits, cache.misses, cache.collisions, cache.entries
-    ));
-    out.push_str(&format!(
-        "  \"serving\": {{ \"engine_runs\": {}, \"cancelled_runs\": {}, \"coalesced\": {}, \
-         \"panicked_runs\": {}, \"deadline_hits\": {}, \"degraded\": {}, \
-         \"coalescing_rate\": {coalescing_rate:.4} }},\n",
-        serving.engine_runs,
-        serving.cancelled_runs,
-        serving.coalesced,
-        serving.panicked_runs,
-        serving.deadline_hits,
-        serving.degraded
-    ));
-    out.push_str(&format!(
-        "  \"robustness\": {{\n    \"shed\": {{ \"requests\": {}, \"shed\": {}, \
-         \"shed_rate\": {:.4} }},\n    \"deadline\": {{ \"requests\": {}, \
-         \"deadline_hits\": {}, \"deadline_hit_rate\": {:.4} }},\n    \
-         \"cold_restart\": {{ \"requests\": {}, \"warm_hits\": {}, \
-         \"warm_hit_rate\": {:.4} }}\n  }}\n}}\n",
-        shed.requests,
-        shed.events,
-        shed.rate,
-        deadline.requests,
-        deadline.events,
-        deadline.rate,
-        restart.requests,
-        restart.events,
-        restart.rate
-    ));
-    if let Err(err) = std::fs::write(&args.out, &out) {
-        eprintln!("bench_service: cannot write {}: {err}", args.out);
-        std::process::exit(1);
-    }
-    println!("report written to {}", args.out);
+    let section = |s: &Section| {
+        object! {
+            "client_threads": s.client_threads, "requests": s.requests,
+            "wall_seconds": num(s.wall_seconds, 4), "throughput_rps": num(s.throughput_rps, 0),
+            "p50_us": s.p50_us, "p99_us": s.p99_us,
+        }
+    };
+    let report = object! {
+        "schema": "retreet-bench-service/v2",
+        "methodology": "warm-cache NDJSON serving: corpus preloaded via warm_start, then N client \
+            threads replay the full §5 request mix (race + equivalence + validity) against one \
+            shared Service; every response is checked against the paper's verdict; latencies \
+            are per-request wall clock including JSON parse; the cold burst issues one identical \
+            cold query from 8 threads and asserts exactly one engine run (single-flight); v2 \
+            adds three fresh-service robustness phases: shed rate under a full 1-slot cold queue \
+            with stalled engines, deadline-hit rate with engines stalled past a 60ms per-query \
+            deadline, and the warm-hit rate after a cold restart from the persisted verdict \
+            store (must be 1.0 with zero engine runs)",
+        "cores": cores,
+        "budget": object! {
+            "label": budget_label, "race_nodes": options.race_nodes,
+            "equiv_nodes": options.equiv_nodes, "validity_nodes": options.validity_nodes,
+            "valuations": options.valuations,
+        },
+        "warm_start_preloaded": preloaded,
+        "sections": array(sections.iter().map(section)),
+        "scaling_8_over_1": num(scaling, 3),
+        "cold_burst": object! {
+            "threads": burst.0, "engine_runs": 1usize, "coalesced": burst.1, "cache_hits": burst.2,
+        },
+        "cache": object! {
+            "hits": cache.hits, "misses": cache.misses, "collisions": cache.collisions,
+            "entries": cache.entries, "hit_rate": num(hit_rate, 4),
+        },
+        "serving": object! {
+            "engine_runs": serving.engine_runs, "cancelled_runs": serving.cancelled_runs,
+            "coalesced": serving.coalesced, "panicked_runs": serving.panicked_runs,
+            "deadline_hits": serving.deadline_hits, "degraded": serving.degraded,
+            "coalescing_rate": num(coalescing_rate, 4),
+        },
+        "robustness": object! {
+            "shed": object! {
+                "requests": shed.requests, "shed": shed.events, "shed_rate": num(shed.rate, 4),
+            },
+            "deadline": object! {
+                "requests": deadline.requests, "deadline_hits": deadline.events,
+                "deadline_hit_rate": num(deadline.rate, 4),
+            },
+            "cold_restart": object! {
+                "requests": restart.requests, "warm_hits": restart.events,
+                "warm_hit_rate": num(restart.rate, 4),
+            },
+        },
+    };
+    flags.write_report(&out, &report);
 
-    if scaling < args.min_scaling {
+    if scaling < min_scaling {
         eprintln!(
             "bench_service: 8-thread scaling {scaling:.2}x below the required {:.2}x",
-            args.min_scaling
+            min_scaling
         );
         failed = true;
     }

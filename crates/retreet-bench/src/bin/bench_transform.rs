@@ -28,71 +28,24 @@
 //! from the interpreter reference) — both are correctness regressions, not
 //! performance numbers.
 
+use retreet_bench::harness::Flags;
 use retreet_bench::{
-    certify_transforms, measure_transform_perf, render_transform_report, transform_report_to_json,
-    Budget,
+    certify_transforms, measure_transform_perf, render_transform_report, transform_report, Budget,
 };
 
-struct Args {
-    quick: bool,
-    out: String,
-    min_speedup: f64,
-    batches: usize,
-    per_batch: usize,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        out: String::from("BENCH_transform.json"),
-        min_speedup: 1.0,
-        batches: 5,
-        per_batch: 3,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| iter.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = value("--out")?,
-            "--min-speedup" => {
-                args.min_speedup = value("--min-speedup")?
-                    .parse()
-                    .map_err(|e| format!("--min-speedup: {e}"))?
-            }
-            "--batches" => {
-                args.batches = value("--batches")?
-                    .parse()
-                    .map_err(|e| format!("--batches: {e}"))?
-            }
-            "--per-batch" => {
-                args.per_batch = value("--per-batch")?
-                    .parse()
-                    .map_err(|e| format!("--per-batch: {e}"))?
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_transform [--quick] [--out PATH] [--min-speedup X] \
-                     [--batches N] [--per-batch N]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("bench_transform: {message}");
-            std::process::exit(2);
-        }
-    };
+    let flags = Flags::parse(
+        "bench_transform",
+        "bench_transform [--quick] [--out PATH] [--min-speedup X] [--batches N] [--per-batch N]",
+        &["--quick"],
+        &["--out", "--min-speedup", "--batches", "--per-batch"],
+    );
+    let out = flags.get_or("--out", String::from("BENCH_transform.json"));
+    let min_speedup = flags.get_or("--min-speedup", 1.0);
+    let batches = flags.get_or("--batches", 5);
+    let per_batch = flags.get_or("--per-batch", 3);
 
-    let (label, budget, tree_height) = if args.quick {
+    let (label, budget, tree_height) = if flags.switch("--quick") {
         ("quick", Budget::quick(), 10)
     } else {
         ("full", Budget::default(), 14)
@@ -102,20 +55,10 @@ fn main() {
     let certs = certify_transforms(&budget);
     // The runtime rows execute through the compiled VM tier; the verifier
     // here backs certified lowering, so its cache stays enabled.
-    let perf = measure_transform_perf(
-        &budget.tune_verifier(),
-        args.batches,
-        args.per_batch,
-        tree_height,
-    );
+    let perf = measure_transform_perf(&budget.tune_verifier(), batches, per_batch, tree_height);
     print!("{}", render_transform_report(&certs, &perf));
 
-    let json = transform_report_to_json(label, &budget, &certs, &perf);
-    if let Err(err) = std::fs::write(&args.out, &json) {
-        eprintln!("bench_transform: cannot write {}: {err}", args.out);
-        std::process::exit(1);
-    }
-    println!("report written to {}", args.out);
+    flags.write_report(&out, &transform_report(label, &budget, &certs, &perf));
 
     let mut failed = false;
     for row in &certs {
@@ -135,12 +78,12 @@ fn main() {
             );
             failed = true;
         }
-        if row.speedup() < args.min_speedup {
+        if row.speedup() < min_speedup {
             eprintln!(
                 "bench_transform: {} fused pass reached only {:.2}x (minimum {:.2}x)",
                 row.id,
                 row.speedup(),
-                args.min_speedup
+                min_speedup
             );
             failed = true;
         }

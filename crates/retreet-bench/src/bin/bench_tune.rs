@@ -27,63 +27,20 @@
 //! * **missing certificate** — a winner whose verdict lacks engine or
 //!   soundness provenance.
 
-use retreet_bench::{measure_tune, render_tune_report, tune_report_to_json, Budget};
+use retreet_bench::harness::Flags;
+use retreet_bench::{measure_tune, render_tune_report, tune_report, Budget};
 use retreet_transform::TuneOptions;
 
-struct Args {
-    quick: bool,
-    out: String,
-    batches: Option<usize>,
-    per_batch: Option<usize>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        out: String::from("BENCH_tune.json"),
-        batches: None,
-        per_batch: None,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        let mut value = |name: &str| iter.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = value("--out")?,
-            "--batches" => {
-                args.batches = Some(
-                    value("--batches")?
-                        .parse()
-                        .map_err(|e| format!("--batches: {e}"))?,
-                )
-            }
-            "--per-batch" => {
-                args.per_batch = Some(
-                    value("--per-batch")?
-                        .parse()
-                        .map_err(|e| format!("--per-batch: {e}"))?,
-                )
-            }
-            "--help" | "-h" => {
-                println!("bench_tune [--quick] [--out PATH] [--batches N] [--per-batch N]");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("bench_tune: {message}");
-            std::process::exit(2);
-        }
-    };
+    let flags = Flags::parse(
+        "bench_tune",
+        "bench_tune [--quick] [--out PATH] [--batches N] [--per-batch N]",
+        &["--quick"],
+        &["--out", "--batches", "--per-batch"],
+    );
+    let out = flags.get_or("--out", String::from("BENCH_tune.json"));
 
-    let (label, budget, mut options) = if args.quick {
+    let (label, budget, mut options) = if flags.switch("--quick") {
         ("quick", Budget::quick(), TuneOptions::quick())
     } else {
         (
@@ -100,12 +57,8 @@ fn main() {
             },
         )
     };
-    if let Some(batches) = args.batches {
-        options.batches = batches;
-    }
-    if let Some(per_batch) = args.per_batch {
-        options.per_batch = per_batch;
-    }
+    options.batches = flags.get_or("--batches", options.batches);
+    options.per_batch = flags.get_or("--per-batch", options.per_batch);
 
     println!(
         "== schedule autotuner ({label} budget, trees of height {}) ==",
@@ -115,12 +68,8 @@ fn main() {
     let rows = measure_tune(&verifier, &options);
     print!("{}", render_tune_report(&rows));
 
-    let json = tune_report_to_json(label, &budget, &options, &rows);
-    if let Err(err) = std::fs::write(&args.out, &json) {
-        eprintln!("bench_tune: cannot write {}: {err}", args.out);
-        std::process::exit(1);
-    }
-    println!("\nreport written to {}", args.out);
+    println!();
+    flags.write_report(&out, &tune_report(label, &budget, &options, &rows));
 
     let mut failed = false;
     for row in &rows {

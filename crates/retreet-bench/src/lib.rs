@@ -2,13 +2,17 @@
 //!
 //! One function per row of the paper's evaluation (§5).  Each returns an
 //! [`ExperimentResult`] carrying the verdict, the paper's expected verdict,
-//! and the wall-clock time, so that the Criterion benches, the examples and
-//! EXPERIMENTS.md are all generated from the same code paths.
+//! and the wall-clock time, so that the `bench_*` binaries, the examples
+//! and the tests all run the same code paths.  Every report is built as a
+//! [`retreet_serve::json::Value`] (`engines_report`, `transform_report`,
+//! …) and written through its one JSON writer; [`harness`] holds the flag
+//! parser and report writer the binaries share.
 //!
 //! Every query goes through the unified [`retreet_verify::Verifier`] façade;
 //! the harness builds its verifiers with the cache *disabled* so measured
-//! times reflect real engine work, not cache hits (the cache's own win is
-//! measured separately by the `perf_portfolio` bench).
+//! times reflect real engine work, not cache hits (the cache's own cost is
+//! the `verify.hit_us` layer of the end-to-end benchmark's warm-verify
+//! trace).
 //!
 //! Absolute times are not comparable to the paper's MONA runtimes (different
 //! decision procedure, different hardware); what must match is every verdict
@@ -18,8 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod harness;
+
+use harness::{array, num};
 use retreet_analysis::coarse;
 use retreet_lang::corpus;
+use retreet_serve::json::Value;
 use retreet_verify::{Outcome, Query, Verifier};
 
 /// The verdict of one experiment, in the vocabulary of §5.
@@ -404,36 +412,17 @@ pub fn render_table(results: &[ExperimentResult]) -> String {
     out
 }
 
-// The one JSON string-escaping implementation lives with the NDJSON wire
-// protocol in `retreet-serve`; the report writers here share it rather
-// than keep a drifting duplicate in sync by hand.
-use retreet_serve::json::escape as json_escape;
-
-/// Serializes results to JSON (machine-readable experiment record).
-///
-/// Hand-rolled: the build environment is fully offline, so `serde_json`
-/// cannot be a dependency; the emitted document is plain JSON regardless.
-pub fn to_json(results: &[ExperimentResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\n    \"id\": \"{}\",\n    \"description\": \"{}\",\n    \"verdict\": \"{}\",\n    \
-             \"expected\": \"{}\",\n    \"paper_seconds\": {},\n    \"measured_seconds\": {},\n    \
-             \"engine\": \"{}\",\n    \"soundness\": \"{}\",\n    \"detail\": \"{}\"\n  }}{}\n",
-            json_escape(r.id),
-            json_escape(r.description),
-            r.verdict.as_str(),
-            r.expected.as_str(),
-            r.paper_seconds,
-            r.measured_seconds,
-            json_escape(r.engine),
-            json_escape(&r.soundness),
-            json_escape(&r.detail),
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    out.push(']');
-    out
+/// The machine-readable experiment record: one object per result.
+pub fn experiments_report(results: &[ExperimentResult]) -> Value {
+    array(results.iter().map(|r| {
+        object! {
+            "id": r.id, "description": r.description,
+            "verdict": r.verdict.as_str(), "expected": r.expected.as_str(),
+            "paper_seconds": Value::Number(r.paper_seconds),
+            "measured_seconds": Value::Number(r.measured_seconds),
+            "engine": r.engine, "soundness": &r.soundness, "detail": &r.detail,
+        }
+    }))
 }
 
 /// One row of the engine-performance report: the same §5 experiment run
@@ -669,57 +658,37 @@ pub fn render_engine_perf(rows: &[EnginePerfRow]) -> String {
     out
 }
 
-/// Serializes the full engine-performance report (one section per budget)
-/// to the `BENCH_engines.json` document.  See `crates/README.md` for the
-/// format description.
-pub fn engine_perf_to_json(sections: &[(&str, &Budget, Vec<EnginePerfRow>)]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"retreet-bench-engines/v1\",\n");
-    out.push_str(
-        "  \"methodology\": \"best-of-batches wall-clock per full query; verdict cache \
-         disabled; naive = seed engine algorithms (retreet_analysis::naive; shares the \
-         reworked interpreter plumbing, so speedups are conservative lower bounds vs \
-         the seed), optimized = facade engine portfolio with shared per-program \
-         analysis state\",\n",
-    );
-    out.push_str("  \"budgets\": {\n");
-    for (s, (label, budget, rows)) in sections.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{\n      \"race_nodes\": {},\n      \"equiv_nodes\": {},\n      \
-             \"equiv_valuations\": {},\n      \"experiments\": [\n",
-            json_escape(label),
-            budget.race_nodes,
-            budget.equiv_nodes,
-            budget.equiv_valuations,
-        ));
-        for (i, row) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\n          \"id\": \"{}\",\n          \"kind\": \"{}\",\n          \
-                 \"description\": \"{}\",\n          \"verdict\": \"{}\",\n          \
-                 \"expected\": \"{}\",\n          \"matches_paper\": {},\n          \
-                 \"engine\": \"{}\",\n          \"soundness\": \"{}\",\n          \
-                 \"naive_verdict_agrees\": {},\n          \
-                 \"naive_seconds\": {:.6},\n          \"optimized_seconds\": {:.6},\n          \
-                 \"speedup\": {:.2}\n        }}{}\n",
-                json_escape(row.id),
-                row.kind,
-                json_escape(row.description),
-                row.verdict.as_str(),
-                row.expected.as_str(),
-                row.matches_paper(),
-                json_escape(row.engine),
-                json_escape(&row.soundness),
-                row.verdicts_agree,
-                row.naive_seconds,
-                row.optimized_seconds,
-                row.speedup(),
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
+/// The full engine-performance report (one section per budget), the
+/// `BENCH_engines.json` document.  See `crates/README.md` for the format.
+pub fn engines_report(sections: &[(&str, &Budget, Vec<EnginePerfRow>)]) -> Value {
+    let experiment = |row: &EnginePerfRow| {
+        object! {
+            "id": row.id, "kind": row.kind, "description": row.description,
+            "verdict": row.verdict.as_str(), "expected": row.expected.as_str(),
+            "matches_paper": row.matches_paper(),
+            "engine": row.engine, "soundness": &row.soundness,
+            "naive_verdict_agrees": row.verdicts_agree,
+            "naive_seconds": num(row.naive_seconds, 6),
+            "optimized_seconds": num(row.optimized_seconds, 6),
+            "speedup": num(row.speedup(), 2),
         }
-        out.push_str("      ]\n    }");
-        out.push_str(if s + 1 < sections.len() { ",\n" } else { "\n" });
+    };
+    let budgets = sections.iter().map(|(label, budget, rows)| {
+        let section = object! {
+            "race_nodes": budget.race_nodes, "equiv_nodes": budget.equiv_nodes,
+            "equiv_valuations": budget.equiv_valuations,
+            "experiments": array(rows.iter().map(experiment)),
+        };
+        (label.to_string(), section)
+    });
+    object! {
+        "schema": "retreet-bench-engines/v1",
+        "methodology": "best-of-batches wall-clock per full query; verdict cache disabled; naive = \
+            seed engine algorithms (retreet_analysis::naive; shares the reworked interpreter \
+            plumbing, so speedups are conservative lower bounds vs the seed), optimized = facade \
+            engine portfolio with shared per-program analysis state",
+        "budgets": Value::Object(budgets.collect()),
     }
-    out.push_str("  }\n}\n");
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -989,70 +958,46 @@ pub fn render_transform_report(certs: &[TransformCertRow], perf: &[TransformPerf
     out
 }
 
-/// Serializes the transform report to the `BENCH_transform.json` document
-/// (schema `retreet-bench-transform/v2`; format in `crates/README.md`).
+/// The transform report, the `BENCH_transform.json` document (schema
+/// `retreet-bench-transform/v2`; format in `crates/README.md`).
 /// v2: runtime rows cover every fusable family (E1/E2/E3/E4a/E5), are
 /// measured on the compiled VM tier instead of native stand-ins, and carry
 /// a `drift` flag from the pre-timing differential check.
-pub fn transform_report_to_json(
+pub fn transform_report(
     budget_label: &str,
     budget: &Budget,
     certs: &[TransformCertRow],
     perf: &[TransformPerfRow],
-) -> String {
-    let mut out = String::from("{\n  \"schema\": \"retreet-bench-transform/v2\",\n");
-    out.push_str(
-        "  \"methodology\": \"certificates: fuse_main_passes under the stated budget, \
-         verdict cache disabled; runtime: best-of-batches wall-clock of the sequential \
-         pass composition vs the certified fusion, both compiled to the retreet-codegen \
-         VM tier (certified lowering) and differential-checked against the interpreter \
-         before timing\",\n",
-    );
-    out.push_str(&format!(
-        "  \"budget\": {{ \"label\": \"{}\", \"equiv_nodes\": {}, \"equiv_valuations\": {} }},\n",
-        json_escape(budget_label),
-        budget.equiv_nodes,
-        budget.equiv_valuations,
-    ));
-    out.push_str("  \"certificates\": [\n");
-    for (i, row) in certs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"case\": \"{}\", \"fused_functions\": {}, \
-             \"kind\": \"{}\", \"engine\": \"{}\", \"soundness\": \"{}\", \
-             \"trees_checked\": {}, \
-             \"certified\": {}, \"elapsed_seconds\": {:.6}, \"detail\": \"{}\" }}{}\n",
-            json_escape(row.id),
-            json_escape(row.case),
-            row.fused_functions,
-            json_escape(&row.kind),
-            json_escape(row.engine),
-            json_escape(&row.soundness),
-            row.trees_checked,
-            row.certified,
-            row.elapsed_seconds,
-            json_escape(&row.detail),
-            if i + 1 < certs.len() { "," } else { "" },
-        ));
+) -> Value {
+    let certificate = |row: &TransformCertRow| {
+        object! {
+            "id": row.id, "case": row.case, "fused_functions": row.fused_functions,
+            "kind": &row.kind, "engine": row.engine, "soundness": &row.soundness,
+            "trees_checked": row.trees_checked, "certified": row.certified,
+            "elapsed_seconds": num(row.elapsed_seconds, 6), "detail": &row.detail,
+        }
+    };
+    let runtime = |row: &TransformPerfRow| {
+        object! {
+            "id": row.id, "case": row.case, "passes": row.passes, "input_size": row.input_size,
+            "sequential_seconds": num(row.sequential_seconds, 6),
+            "fused_seconds": num(row.fused_seconds, 6),
+            "speedup": num(row.speedup(), 2), "drift": row.drift,
+        }
+    };
+    object! {
+        "schema": "retreet-bench-transform/v2",
+        "methodology": "certificates: fuse_main_passes under the stated budget, verdict cache \
+            disabled; runtime: best-of-batches wall-clock of the sequential pass composition vs \
+            the certified fusion, both compiled to the retreet-codegen VM tier (certified \
+            lowering) and differential-checked against the interpreter before timing",
+        "budget": object! {
+            "label": budget_label, "equiv_nodes": budget.equiv_nodes,
+            "equiv_valuations": budget.equiv_valuations,
+        },
+        "certificates": array(certs.iter().map(certificate)),
+        "runtime": array(perf.iter().map(runtime)),
     }
-    out.push_str("  ],\n  \"runtime\": [\n");
-    for (i, row) in perf.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"case\": \"{}\", \"passes\": {}, \"input_size\": {}, \
-             \"sequential_seconds\": {:.6}, \"fused_seconds\": {:.6}, \"speedup\": {:.2}, \
-             \"drift\": {} }}{}\n",
-            json_escape(row.id),
-            json_escape(row.case),
-            row.passes,
-            row.input_size,
-            row.sequential_seconds,
-            row.fused_seconds,
-            row.speedup(),
-            row.drift,
-            if i + 1 < perf.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1293,84 +1238,51 @@ pub fn render_tune_report(rows: &[TuneReportRow]) -> String {
     out
 }
 
-/// Serializes the tune report to the `BENCH_tune.json` document (schema
+/// The tune report, the `BENCH_tune.json` document (schema
 /// `retreet-bench-tune/v1`; format in `crates/README.md`).
-pub fn tune_report_to_json(
+pub fn tune_report(
     label: &str,
     budget: &Budget,
     options: &retreet_transform::TuneOptions,
     rows: &[TuneReportRow],
-) -> String {
-    let mut out = String::from("{\n  \"schema\": \"retreet-bench-tune/v1\",\n");
-    out.push_str(
-        "  \"methodology\": \"retreet-transform::tune over each family's Main pass run: \
-         contiguous partial-fusion groupings x schedule variants, certified in one \
-         verify_batch call, measured best-of-batches through the retreet-codegen VM tier \
-         (never the interpreter), winner never slower than best-of{original, canonical \
-         fusion}; winner differential-rechecked against the interpreter reference\",\n",
-    );
-    out.push_str(&format!(
-        "  \"budget\": {{ \"label\": \"{}\", \"equiv_nodes\": {}, \"equiv_valuations\": {}, \
-         \"race_nodes\": {}, \"max_candidates\": {}, \"tree_height\": {}, \"seed\": {}, \
-         \"batches\": {}, \"per_batch\": {} }},\n",
-        json_escape(label),
-        budget.equiv_nodes,
-        budget.equiv_valuations,
-        budget.race_nodes,
-        options.max_candidates,
-        options.tree_height,
-        options.seed,
-        options.batches,
-        options.per_batch,
-    ));
-    out.push_str("  \"experiments\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"case\": \"{}\", \"candidates\": {}, \"certified\": {}, \
-             \"refused\": {},\n      \"baseline_original_seconds\": {:.6}, \
-             \"baseline_fused_seconds\": {}, \"tuned_seconds\": {:.6}, \
-             \"tuned_speedup\": {:.2},\n      \"winner\": {{ \"label\": \"{}\", \
-             \"certificate\": \"{}\", \"engine\": \"{}\", \"soundness\": \"{}\" }},\n      \
-             \"beats_canonical_fusion\": {}, \"drift\": {},\n      \"table\": [\n",
-            json_escape(row.id),
-            json_escape(row.case),
-            row.candidates,
-            row.certified,
-            row.refused,
-            row.baseline_original_seconds,
-            row.baseline_fused_seconds
-                .map(|s| format!("{s:.6}"))
-                .unwrap_or_else(|| String::from("null")),
-            row.tuned_seconds,
-            row.speedup(),
-            json_escape(&row.winner_label),
-            json_escape(&row.winner_kind),
-            json_escape(row.winner_engine),
-            json_escape(&row.winner_soundness),
-            row.beats_canonical_fusion,
-            row.drift,
-        ));
-        for (j, candidate) in row.table.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{ \"label\": \"{}\", \"certified\": {}, \"seconds\": {}, \
-                 \"detail\": \"{}\" }}{}\n",
-                json_escape(&candidate.label),
-                candidate.certified,
-                candidate
-                    .seconds
-                    .map(|s| format!("{s:.6}"))
-                    .unwrap_or_else(|| String::from("null")),
-                json_escape(&candidate.detail),
-                if j + 1 < row.table.len() { "," } else { "" },
-            ));
+) -> Value {
+    let candidate = |candidate: &TuneCandidateSummary| {
+        object! {
+            "label": &candidate.label, "certified": candidate.certified,
+            "seconds": candidate.seconds.map(|s| num(s, 6)), "detail": &candidate.detail,
         }
-        out.push_str(&format!(
-            "      ] }}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    };
+    let experiment = |row: &TuneReportRow| {
+        object! {
+            "id": row.id, "case": row.case, "candidates": row.candidates,
+            "certified": row.certified, "refused": row.refused,
+            "baseline_original_seconds": num(row.baseline_original_seconds, 6),
+            "baseline_fused_seconds": row.baseline_fused_seconds.map(|s| num(s, 6)),
+            "tuned_seconds": num(row.tuned_seconds, 6),
+            "tuned_speedup": num(row.speedup(), 2),
+            "winner": object! {
+                "label": &row.winner_label, "certificate": &row.winner_kind,
+                "engine": row.winner_engine, "soundness": &row.winner_soundness,
+            },
+            "beats_canonical_fusion": row.beats_canonical_fusion, "drift": row.drift,
+            "table": array(row.table.iter().map(candidate)),
+        }
+    };
+    object! {
+        "schema": "retreet-bench-tune/v1",
+        "methodology": "retreet-transform::tune over each family's Main pass run: contiguous \
+            partial-fusion groupings x schedule variants, certified in one verify_batch call, \
+            measured best-of-batches through the retreet-codegen VM tier (never the \
+            interpreter), winner never slower than best-of{original, canonical fusion}; winner \
+            differential-rechecked against the interpreter reference",
+        "budget": object! {
+            "label": label, "equiv_nodes": budget.equiv_nodes,
+            "equiv_valuations": budget.equiv_valuations, "race_nodes": budget.race_nodes,
+            "max_candidates": options.max_candidates, "tree_height": options.tree_height,
+            "seed": options.seed, "batches": options.batches, "per_batch": options.per_batch,
+        },
+        "experiments": array(rows.iter().map(experiment)),
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1603,73 +1515,66 @@ pub fn render_codegen_report(rows: &[CodegenPerfRow], certs: &[CodegenCertRow]) 
     out
 }
 
-/// Serializes the codegen report to the `BENCH_codegen.json` document
-/// (schema `retreet-bench-codegen/v1`; format in `crates/README.md`).
-pub fn codegen_report_to_json(
+/// The codegen report, the `BENCH_codegen.json` document (schema
+/// `retreet-bench-codegen/v1`; format in `crates/README.md`).
+pub fn codegen_report(
     label: &str,
     tree_height: usize,
     rows: &[CodegenPerfRow],
     certs: &[CodegenCertRow],
-) -> String {
-    let mut out = String::from("{\n  \"schema\": \"retreet-bench-codegen/v1\",\n");
-    out.push_str(
-        "  \"methodology\": \"best-of-batches wall-clock of the reference interpreter vs the \
-         retreet-codegen bytecode VM on complete trees; every iterative lowering certified by \
-         an equivalence verdict (fresh-then-cached serving path shown); VM outputs \
-         differential-checked against the interpreter before timing\",\n",
-    );
-    out.push_str(&format!(
-        "  \"budget\": {{ \"label\": \"{}\", \"tree_height\": {} }},\n",
-        json_escape(label),
-        tree_height,
-    ));
-    out.push_str("  \"workloads\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let fused = match (row.vm_fused_seconds, row.fused_speedup()) {
-            (Some(seconds), Some(speedup)) => {
-                format!("\"vm_fused_seconds\": {seconds:.6}, \"fused_speedup\": {speedup:.2}")
-            }
-            _ => String::from("\"vm_fused_seconds\": null, \"fused_speedup\": null"),
-        };
-        out.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"case\": \"{}\", \"nodes\": {}, \"lowered_funcs\": {}, \
-             \"interp_seconds\": {:.6}, \"vm_seconds\": {:.6}, \"vm_speedup\": {:.2}, \
-             {}, \"drift\": {} }}{}\n",
-            json_escape(row.id),
-            json_escape(row.case),
-            row.nodes,
-            row.lowered_funcs,
-            row.interp_seconds,
-            row.vm_seconds,
-            row.vm_speedup(),
-            fused,
-            row.drift,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+) -> Value {
+    let workload = |row: &CodegenPerfRow| {
+        object! {
+            "id": row.id, "case": row.case, "nodes": row.nodes,
+            "lowered_funcs": row.lowered_funcs,
+            "interp_seconds": num(row.interp_seconds, 6),
+            "vm_seconds": num(row.vm_seconds, 6), "vm_speedup": num(row.vm_speedup(), 2),
+            "vm_fused_seconds": row.vm_fused_seconds.map(|s| num(s, 6)),
+            "fused_speedup": row.fused_speedup().map(|s| num(s, 2)),
+            "drift": row.drift,
+        }
+    };
+    let certificate = |cert: &CodegenCertRow| {
+        object! {
+            "workload": cert.workload, "func": &cert.func, "phase": cert.phase,
+            "engine": cert.engine, "cached": cert.cached, "coalesced": cert.coalesced,
+            "elapsed_seconds": num(cert.elapsed_seconds, 6),
+        }
+    };
+    object! {
+        "schema": "retreet-bench-codegen/v1",
+        "methodology": "best-of-batches wall-clock of the reference interpreter vs the \
+            retreet-codegen bytecode VM on complete trees; every iterative lowering certified by \
+            an equivalence verdict (fresh-then-cached serving path shown); VM outputs \
+            differential-checked against the interpreter before timing",
+        "budget": object! { "label": label, "tree_height": tree_height },
+        "workloads": array(rows.iter().map(workload)),
+        "lowering_certificates": array(certs.iter().map(certificate)),
     }
-    out.push_str("  ],\n  \"lowering_certificates\": [\n");
-    for (i, cert) in certs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"workload\": \"{}\", \"func\": \"{}\", \"phase\": \"{}\", \
-             \"engine\": \"{}\", \"cached\": {}, \"coalesced\": {}, \
-             \"elapsed_seconds\": {:.6} }}{}\n",
-            json_escape(cert.workload),
-            json_escape(&cert.func),
-            json_escape(cert.phase),
-            json_escape(cert.engine),
-            cert.cached,
-            cert.coalesced,
-            cert.elapsed_seconds,
-            if i + 1 < certs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retreet_serve::json;
+    use std::collections::BTreeMap;
+
+    /// A report as the binaries write it, parsed back: the top-level object.
+    fn written(report: &Value) -> BTreeMap<String, Value> {
+        match json::parse(&report.pretty()).unwrap() {
+            Value::Object(map) => map,
+            other => panic!("report is not an object: {other}"),
+        }
+    }
+
+    /// The items of a report array, each an object.
+    fn objects(array: &Value) -> Vec<&BTreeMap<String, Value>> {
+        let items = array.as_array().expect("an array");
+        items
+            .iter()
+            .map(|item| item.as_object().expect("an object"))
+            .collect()
+    }
 
     #[test]
     fn codegen_report_has_no_drift_and_honest_cache_flags() {
@@ -1684,9 +1589,16 @@ mod tests {
         assert!(rows.iter().any(|r| r.lowered_funcs > 0));
         assert!(certs.iter().any(|c| c.phase == "fresh" && !c.cached));
         assert!(certs.iter().any(|c| c.phase == "recompile" && c.cached));
-        let json = codegen_report_to_json("quick", 6, &rows, &certs);
-        assert!(json.contains("\"schema\": \"retreet-bench-codegen/v1\""));
-        assert!(json.contains("\"lowering_certificates\""));
+        let report = written(&codegen_report("quick", 6, &rows, &certs));
+        assert_eq!(report["schema"].as_str(), Some("retreet-bench-codegen/v1"));
+        let workloads = objects(&report["workloads"]);
+        assert_eq!(workloads.len(), 5);
+        assert!(workloads.iter().all(|w| w["drift"] == Value::Bool(false)));
+        let lowerings = objects(&report["lowering_certificates"]);
+        assert_eq!(lowerings.len(), certs.len());
+        assert!(lowerings
+            .iter()
+            .any(|c| c["phase"].as_str() == Some("recompile") && c["cached"] == Value::Bool(true)));
     }
 
     #[test]
@@ -1753,14 +1665,11 @@ mod tests {
         let results = vec![e1c_size_counting_race_freedom(&budget)];
         let table = render_table(&results);
         assert!(table.contains("E1c"));
-        let json = to_json(&results);
-        assert!(json.contains("RaceFree"));
-        assert!(json.contains("\"engine\""));
-    }
-
-    #[test]
-    fn json_escaping_handles_special_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let record = json::parse(&experiments_report(&results).pretty()).unwrap();
+        let rows = objects(&record);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0]["verdict"].as_str(), Some("RaceFree"));
+        assert_eq!(rows[0]["engine"].as_str(), Some(results[0].engine));
     }
 
     #[test]
@@ -1792,12 +1701,19 @@ mod tests {
         for row in &perf {
             assert!(!row.drift, "{}: VM diverged from the interpreter", row.id);
         }
-        let json = transform_report_to_json("quick", &budget, &certs, &perf);
-        assert!(json.contains("\"schema\": \"retreet-bench-transform/v2\""));
-        assert!(json.contains("\"certificates\""));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"drift\""));
-        assert!(json.contains("\"E2\"") && json.contains("\"E4a\""));
+        let report = written(&transform_report("quick", &budget, &certs, &perf));
+        assert_eq!(
+            report["schema"].as_str(),
+            Some("retreet-bench-transform/v2")
+        );
+        assert_eq!(objects(&report["certificates"]).len(), 5);
+        let runtime = objects(&report["runtime"]);
+        let ids: Vec<_> = runtime.iter().map(|r| r["id"].as_str().unwrap()).collect();
+        assert_eq!(ids, ["E1", "E2", "E3", "E4a", "E5"]);
+        for row in runtime {
+            assert_eq!(row["drift"], Value::Bool(false));
+            assert!(matches!(row["speedup"], Value::Number(_)));
+        }
         let table = render_transform_report(&certs, &perf);
         assert!(table.contains("E4a") && table.contains("speedup"));
     }
@@ -1825,10 +1741,18 @@ mod tests {
             .table
             .iter()
             .any(|c| !c.certified && c.detail.contains("data race")));
-        let json = tune_report_to_json("quick", &budget, &options, &rows);
-        assert!(json.contains("\"schema\": \"retreet-bench-tune/v1\""));
-        assert!(json.contains("\"beats_canonical_fusion\""));
-        assert!(json.contains("\"tuned_speedup\""));
+        let report = written(&tune_report("quick", &budget, &options, &rows));
+        assert_eq!(report["schema"].as_str(), Some("retreet-bench-tune/v1"));
+        let experiments = objects(&report["experiments"]);
+        assert_eq!(experiments.len(), 5);
+        for (experiment, row) in experiments.iter().zip(&rows) {
+            assert_eq!(
+                experiment["beats_canonical_fusion"],
+                Value::Bool(row.beats_canonical_fusion)
+            );
+            assert_eq!(experiment["drift"], Value::Bool(false));
+            assert!(matches!(experiment["tuned_speedup"], Value::Number(_)));
+        }
         let table = render_tune_report(&rows);
         assert!(table.contains("winner") && table.contains("E4a"));
     }

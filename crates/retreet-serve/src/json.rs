@@ -4,7 +4,9 @@
 //! service cannot use `serde`; this module is a from-scratch recursive-
 //! descent parser for exactly the JSON the protocol needs — objects,
 //! arrays, strings (with the standard escapes), numbers, booleans and
-//! null — plus the escaping helper responses are rendered with.
+//! null — plus the one writer that renders a [`Value`] back, compact for
+//! the wire and indented for reports, and the escaping helper responses
+//! are rendered with.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -51,54 +53,75 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Renders the value as indented JSON: one array item or object entry
+    /// per line, two spaces per level, empty containers as `[]` / `{}`.
+    /// Reports use this; the wire protocol uses the compact `Display`.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0))
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// The one JSON writer: compact when `indent` is `None`, otherwise
+    /// pretty with this value `indent` levels deep.
+    fn write<W: fmt::Write>(&self, out: &mut W, indent: Option<usize>) -> fmt::Result {
+        let entries: Box<dyn Iterator<Item = (Option<&String>, &Value)>> = match self {
+            Value::Null => return out.write_str("null"),
+            Value::Bool(b) => return write!(out, "{b}"),
+            // JSON has no inf/NaN (reachable via an overflowing literal
+            // like 1e999, which Rust parses to infinity); render the
+            // nearest valid JSON value rather than corrupt the output.
+            Value::Number(n) if !n.is_finite() => return out.write_str("null"),
+            Value::Number(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+                return write!(out, "{}", *n as i64)
+            }
+            Value::Number(n) => return write!(out, "{n}"),
+            Value::String(s) => return write!(out, "\"{}\"", escape(s)),
+            Value::Array(items) => Box::new(items.iter().map(|item| (None, item))),
+            Value::Object(map) => Box::new(map.iter().map(|(key, value)| (Some(key), value))),
+        };
+        let (open, close) = match self {
+            Value::Array(_) => ('[', ']'),
+            _ => ('{', '}'),
+        };
+        let inner = indent.map(|level| level + 1);
+        let newline = |out: &mut W, level: Option<usize>| match level {
+            Some(level) => write!(out, "\n{:1$}", "", 2 * level),
+            None => Ok(()),
+        };
+        out.write_char(open)?;
+        let mut empty = true;
+        for (key, value) in entries {
+            if !empty {
+                out.write_char(',')?;
+            }
+            empty = false;
+            newline(out, inner)?;
+            if let Some(key) = key {
+                let space = if inner.is_some() { " " } else { "" };
+                write!(out, "\"{}\":{space}", escape(key))?;
+            }
+            value.write(out, inner)?;
+        }
+        if !empty {
+            newline(out, indent)?;
+        }
+        out.write_char(close)
+    }
 }
 
 impl fmt::Display for Value {
-    /// Renders the value back to compact JSON (used to echo request ids).
+    /// Renders the value as compact JSON, the wire format.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => write!(f, "null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Number(n) => {
-                if !n.is_finite() {
-                    // JSON has no inf/NaN (reachable via an overflowing
-                    // literal like 1e999, which Rust parses to infinity);
-                    // render the nearest valid JSON value rather than
-                    // corrupt the response line.
-                    write!(f, "null")
-                } else if n.fract() == 0.0 && n.abs() < 9e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
-            Value::String(s) => write!(f, "\"{}\"", escape(s)),
-            Value::Array(items) => {
-                write!(f, "[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                write!(f, "]")
-            }
-            Value::Object(map) => {
-                write!(f, "{{")?;
-                for (i, (key, value)) in map.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "\"{}\":{}", escape(key), value)?;
-                }
-                write!(f, "}}")
-            }
-        }
+        self.write(f, None)
     }
 }
 
 /// Escapes a string for embedding in a JSON document (the one shared
-/// implementation — `retreet-bench`'s report writers use it too).
+/// implementation: the writer above uses it, and so do the request lines
+/// the benchmarks build by hand).
 ///
 /// Only ASCII bytes ever need escaping, so the input is scanned bytewise
 /// and maximal escape-free runs are appended as whole slices (UTF-8
@@ -391,6 +414,41 @@ mod tests {
     fn display_renders_compact_json() {
         let value = parse(r#"{"b": [1, 2], "a": "x"}"#).unwrap();
         assert_eq!(value.to_string(), r#"{"a":"x","b":[1,2]}"#);
+    }
+
+    /// Escapes, nested empty containers, integer-valued and fractional
+    /// numbers: every branch of the writer.
+    const FIXTURE: &str = r#"{"s": "q\"b\\n\nt\t\u0001 §", "e": {"a": [], "o": {}},
+        "n": [3, -0.5, 1e20, 2.0], "b": [true, false, null], "k\"": [[{}], {"x": []}]}"#;
+
+    #[test]
+    fn compact_output_is_the_wire_format_byte_for_byte() {
+        let value = parse(FIXTURE).unwrap();
+        assert_eq!(
+            value.to_string(),
+            r#"{"b":[true,false,null],"e":{"a":[],"o":{}},"k\"":[[{}],{"x":[]}],"n":[3,-0.5,100000000000000000000,2],"s":"q\"b\\n\nt\t\u0001 §"}"#
+        );
+    }
+
+    #[test]
+    fn compact_and_pretty_output_parse_back_to_the_same_value() {
+        let value = parse(FIXTURE).unwrap();
+        assert_eq!(parse(&value.to_string()).unwrap(), value);
+        assert_eq!(parse(&value.pretty()).unwrap(), value);
+        assert_eq!(
+            parse(r#"{"a": [1, {"b": []}]}"#).unwrap().pretty(),
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": []\n    }\n  ]\n}"
+        );
+        assert_eq!(Value::Array(Vec::new()).pretty(), "[]");
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for n in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let value = Value::Array(vec![Value::Number(n)]);
+            assert_eq!(value.to_string(), "[null]");
+            assert_eq!(value.pretty(), "[\n  null\n]");
+        }
     }
 
     #[test]

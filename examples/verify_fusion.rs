@@ -8,7 +8,7 @@
 //! cargo run --release --example verify_fusion
 //! ```
 
-use retreet_bench::{ablation_granularity, render_table, run_all, to_json, Budget};
+use retreet_bench::{ablation_granularity, experiments_report, render_table, run_all, Budget};
 use retreet_lang::corpus;
 use retreet_transform::fuse_main_passes;
 
@@ -51,5 +51,8 @@ fn main() {
         }
     }
 
-    println!("\nmachine-readable record:\n{}", to_json(&results));
+    println!(
+        "\nmachine-readable record:\n{}",
+        experiments_report(&results).pretty()
+    );
 }

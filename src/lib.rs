@@ -109,8 +109,18 @@
 //! | `retreet_mso::encode::check_overlap(&a, &b) -> OverlapVerdict` / `check_overlap_k(&a, &b, arity)` and `guards_equivalent_k(&a, &b, arity)` | `check_overlap(&a, &b) -> bool` (true when some tree puts the regions in contact) / `guards_equivalent(&a, &b) -> bool` — one exact decider per question at every arity; `OverlapVerdict`, the `_k` twins, `overlap_formula(_k)` and `StructuralRaceAnalysis::Candidate::example` are gone (the NFTA encoding survives only as a test oracle) |
 //! | `TreeCorpus::new(max_nodes, &fields, valuations)` (binary only) | `TreeCorpus::with_arity(arity, max_nodes, &fields, valuations)` — k-ary shape enumeration; `ValueTree::complete_kary(arity, height, &fields, init)` builds complete k-ary measurement trees |
 //! | `run` / `tune` service requests pinned to binary trees | both accept an optional `"arity"` field (2 ≤ arity ≤ 8, at least the program's declared arity; out-of-range answers a typed `bad_request`); `TuneOptions` gains `tree_arity` |
+//! | `retreet_bench::to_json(&results) -> String` | `retreet_bench::experiments_report(&results) -> Value` ([`retreet_serve::json::Value`]); render with `.pretty()` (indented) or `.to_string()` (compact) |
+//! | `engine_perf_to_json` / `transform_report_to_json` / `tune_report_to_json` / `codegen_report_to_json` (`-> String`) | `engines_report` / `transform_report` / `tune_report` / `codegen_report` (`-> Value`, same arguments); the `bench_*` binaries write `value.pretty()` — keys sorted, numbers rounded to the old precision, non-finite numbers as `null` |
+//! | `cargo bench -p retreet-bench` (the Criterion benches `e1_size_counting` … `e4_cycletree`, `perf_fusion`, `perf_parallel`, `perf_portfolio`, `ablation_granularity`) and the `criterion` shim | removed: verdicts, engine agreement and the ablation gap are asserted by `tests/evaluation_verdicts.rs` and `tests/verifier_facade.rs`; timings come from the `bench_*` binaries; the cache-hit cost is the `verify.hit_us` layer of the `perfbench` warm-verify trace |
 //!
 //! # Benchmarks
+//!
+//! Five `bench_*` binaries in `retreet-bench` reproduce the §5 evaluation
+//! and its performance record.  They share one flag parser and one report
+//! writer (`retreet_bench::harness`): every `BENCH_*.json` is built as a
+//! [`retreet_serve::json::Value`] and written indented with sorted keys.
+//! Correctness gates fail a run with exit code 1; a malformed command line
+//! exits 2.
 //!
 //! `cargo run --release -p retreet-bench --bin bench_engines` writes
 //! `BENCH_engines.json` at the repository root: every §5 experiment timed
@@ -123,7 +133,7 @@
 //! `cargo run --release -p retreet-bench --bin bench_transform` writes
 //! `BENCH_transform.json` (schema `retreet-bench-transform/v2`): every
 //! fusable §5 case synthesized and certified through the transform tier,
-//! plus fused-vs-sequential runtime on all four families — both sides
+//! plus fused-vs-sequential runtime on all five families — both sides
 //! compiled to the VM tier and differential-checked against the
 //! interpreter before timing.  CI runs it in quick mode and fails on
 //! certificate drift and on execution drift.
@@ -150,7 +160,7 @@
 //!
 //! `cargo run --release -p retreet-bench --bin bench_tune` writes
 //! `BENCH_tune.json` (schema `retreet-bench-tune/v1`): the certified
-//! schedule autotuner run on all four §5 families — the full scored
+//! schedule autotuner run on all five fusable families — the full scored
 //! candidate table (certified schedules with measured VM seconds,
 //! refusals with their witnesses), both baselines, and the winner with
 //! its certificate provenance.  CI runs it in quick mode and fails on
