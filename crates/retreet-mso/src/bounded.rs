@@ -54,14 +54,14 @@ pub fn check_validity(formula: &Formula, max_nodes: usize) -> BoundedVerdict {
 
 /// [`check_validity`] with a cooperative cancel flag: returns `None` (and
 /// no verdict) as soon as `cancel` is observed raised.  The verifier
-/// façade's parallel portfolio raises the flag on losing engines once a
-/// winner is decided.
+/// façade raises the flag when a query's deadline expires or its dispatch
+/// is aborted.
 ///
 /// The flag is checked once per evaluated model *and* once per tree-size
 /// tranche: the corpus is materialized through [`shared_trees_with`] one
 /// size at a time (instead of [`shared_trees_up_to`]'s monolithic build,
 /// which at 13 nodes spends seconds and hundreds of MB before any check
-/// could run), so a lost run reacts within one tranche rather than after
+/// could run), so a cancelled run reacts within one tranche rather than after
 /// the whole Catalan-sized corpus exists.  Model order is unchanged —
 /// smallest trees first — so counterexamples are identical to
 /// [`check_validity`]'s.

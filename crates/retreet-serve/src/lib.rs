@@ -42,9 +42,8 @@
 //!   codegen tier's compile/execute counters.
 //!
 //! Every verdict response carries the engine provenance, the soundness
-//! caveat, the `cached` / `coalesced` serving flags and the `degraded`
-//! deadline marker, so a client can always tell how its answer was
-//! produced.  Malformed requests are answered with
+//! caveat and the `cached` / `coalesced` serving flags, so a client can
+//! always tell how its answer was produced.  Malformed requests are answered with
 //! `{"status": "error", "code": ..., ...}` on the same line — the
 //! connection (and the service) stays up.
 //!
@@ -72,10 +71,9 @@
 //! # Robustness
 //!
 //! * **Deadlines** — [`ServeOptions::deadline_ms`] arms a per-query
-//!   wall-clock budget; an expired query resolves fail-closed (a verdict
-//!   marked `degraded` when a finished engine's answer can be served,
-//!   the typed `deadline_exceeded` error otherwise — never a wrong or
-//!   truncated verdict).
+//!   wall-clock budget; an expired query resolves fail-closed with the
+//!   typed `deadline_exceeded` error — never a wrong or truncated
+//!   verdict.
 //! * **Persistence** — [`ServeOptions::persist`] backs the verdict cache
 //!   with a crash-safe append-only log; a restarted replica reloads every
 //!   verdict it ever computed and serves them as cache hits.
@@ -132,8 +130,6 @@ pub struct ServeOptions {
     pub validity_nodes: usize,
     /// Deterministic field valuations per tree shape.
     pub valuations: usize,
-    /// Run the applicable engines concurrently per query.
-    pub parallel: bool,
     /// Verdict-cache capacity (0 disables caching and coalescing).
     pub cache_capacity: usize,
     /// Cold-lane worker threads (clamped to ≥ 1).
@@ -166,7 +162,6 @@ impl Default for ServeOptions {
             equiv_nodes: 5,
             validity_nodes: 5,
             valuations: 2,
-            parallel: false,
             cache_capacity: 4096,
             workers: 2,
             cold_queue: 256,
@@ -189,7 +184,6 @@ impl ServeOptions {
             .equiv_nodes(self.equiv_nodes)
             .validity_nodes(self.validity_nodes)
             .valuations(self.valuations)
-            .parallel(self.parallel)
             .cache_capacity(self.cache_capacity);
         if self.deadline_ms > 0 {
             builder = builder.default_deadline(Duration::from_millis(self.deadline_ms));
@@ -841,7 +835,7 @@ impl Service {
             "\"status\":\"ok\",\"kind\":\"stats\",\"requests\":{},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"collisions\":{},\"entries\":{}}},\
              \"serving\":{{\"engine_runs\":{},\"cancelled_runs\":{},\"panicked_runs\":{},\
-             \"deadline_hits\":{},\"degraded\":{},\"coalesced\":{}}},\
+             \"deadline_hits\":{},\"coalesced\":{}}},\
              \"sched\":{{\"workers\":{},\"queue_depth\":{},\"cold_executed\":{},\"shed\":{},\
              \"warm_inline\":{},\"inflight\":{},\"shutting_down\":{}}},\
              \"codegen\":{{\"compiles\":{},\"vm_runs\":{},\"interp_runs\":{},\"tunes\":{}}}",
@@ -854,7 +848,6 @@ impl Service {
             serving.cancelled_runs,
             serving.panicked_runs,
             serving.deadline_hits,
-            serving.degraded,
             serving.coalesced,
             self.cold.worker_count(),
             self.cold.queue_depth(),
@@ -1089,7 +1082,7 @@ fn verdict_response(
     out.push_str(&format!(
         "\"status\":\"ok\",\"kind\":\"{}\",\"verdict\":\"{}\",\"positive\":{},\
          \"engine\":\"{}\",\"soundness\":\"{}\",\"cached\":{},\"coalesced\":{},\
-         \"degraded\":{},\"elapsed_us\":{},\"trees_checked\":{},\"detail\":\"{}\"}}",
+         \"elapsed_us\":{},\"trees_checked\":{},\"detail\":\"{}\"}}",
         parsed.kind(),
         word,
         verdict.is_positive(),
@@ -1097,7 +1090,6 @@ fn verdict_response(
         soundness,
         verdict.cached,
         verdict.coalesced,
-        verdict.degraded,
         verdict.elapsed.as_micros(),
         verdict.trees_checked(),
         json::escape(&detail),
@@ -1363,7 +1355,6 @@ mod tests {
             equiv_nodes: 3,
             validity_nodes: 3,
             valuations: 1,
-            parallel: false,
             cache_capacity: 1024,
             ..ServeOptions::default()
         }
@@ -1689,7 +1680,7 @@ mod tests {
         // Cold: through the worker pool.
         let response = service.handle_line(&request);
         assert_eq!(field(&response, "status").as_str(), Some("ok"));
-        assert_eq!(field(&response, "degraded"), Value::Bool(false));
+        assert_eq!(field(&response, "cached"), Value::Bool(false));
         // Warm: inline on the connection thread.
         let response = service.handle_line(&request);
         assert_eq!(field(&response, "cached"), Value::Bool(true));

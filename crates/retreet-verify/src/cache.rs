@@ -289,7 +289,6 @@ mod tests {
             elapsed: Duration::from_millis(1),
             cached: false,
             coalesced: false,
-            degraded: false,
         }
     }
 

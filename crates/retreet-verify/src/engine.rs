@@ -134,7 +134,7 @@ impl EngineConfig {
 }
 
 /// What one engine produced for one query.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum EngineAnswer {
     /// The engine produced a verdict.
     Verdict(Outcome, Soundness),
@@ -142,19 +142,18 @@ pub(crate) enum EngineAnswer {
     /// kind); other portfolio members may still answer.
     Skip(EngineSkip),
     /// The engine observed the cooperative cancel flag and abandoned its
-    /// enumeration: a winner was already decided (or the query's deadline
-    /// expired), so no verdict may (or needs to) be derived from the
-    /// partial run.
+    /// enumeration: the query's deadline expired (or its dispatch was
+    /// aborted), so no verdict may be derived from the partial run.
     Cancelled,
     /// The engine panicked.  `catch_unwind` confines the unwind to the
-    /// engine's own slot — the connection/worker thread survives and the
-    /// other portfolio members keep racing; only when *no* engine answers
+    /// engine's own turn — the connection/worker thread survives and the
+    /// remaining portfolio members still run; only when *no* engine answers
     /// does the portfolio report failure.
     Panicked(String),
 }
 
-/// A cancel flag that is never raised, for the sequential portfolio and
-/// single-engine runs (nothing can out-race them).
+/// A cancel flag that is never raised, for single-engine runs (they carry
+/// no deadline and cannot be aborted).
 pub(crate) static NEVER_CANCELLED: AtomicBool = AtomicBool::new(false);
 
 /// Runs `engine` on `query` under `config`, returning the outcome with its
@@ -223,8 +222,8 @@ fn run_engine_inner(
     if !engine.supports(query.kind()) {
         return skip(engine, format!("does not answer {} queries", query.kind()));
     }
-    // A losing engine whose portfolio already has a winner skips the whole
-    // run, not just the remaining loop iterations.
+    // A dispatch whose deadline already expired (or that was aborted)
+    // skips the whole run, not just the remaining loop iterations.
     if cancel.load(Ordering::Relaxed) {
         return EngineAnswer::Cancelled;
     }

@@ -75,11 +75,9 @@ pub enum VerifyError {
         /// The kind of query that was being answered.
         query: QueryKind,
     },
-    /// The per-query deadline expired before any engine produced a verdict.
-    /// Fail-closed: no partial or truncated answer is ever synthesized —
-    /// when at least one engine *did* finish in budget, the portfolio
-    /// returns its verdict marked [`crate::Verdict::degraded`] instead of
-    /// this error.
+    /// The per-query deadline expired (or the dispatch was aborted) before
+    /// an engine produced a verdict.  Fail-closed: no partial or truncated
+    /// answer is ever synthesized.
     DeadlineExceeded {
         /// The kind of query whose budget expired.
         query: QueryKind,

@@ -61,9 +61,8 @@ impl Query<'_> {
         }
     }
 
-    /// An owned copy of this query (used by the verdict cache to verify
-    /// key hits by full subject equality, and by the parallel portfolio so
-    /// worker threads can outlive the caller's borrow).
+    /// An owned copy of this query (used by the verdict cache and the
+    /// single-flight table to verify key hits by full subject equality).
     pub(crate) fn to_owned_query(self) -> OwnedQuery {
         match self {
             Query::DataRace(p) => OwnedQuery::DataRace((*p).clone()),

@@ -11,8 +11,7 @@
 //! let verifier = Verifier::builder()
 //!     .max_nodes(3)      // exhaust every tree up to this many nodes
 //!     .valuations(1)     // deterministic field valuations per shape
-//!     .parallel(true)    // race the applicable engines, first verdict wins
-//!     .build();
+//!     .build();          // engines run in authority order, first answer wins
 //!
 //! // Theorem 2 (data race), Theorem 3 (equivalence) and MSO validity all go
 //! // through the same call:
@@ -87,17 +86,15 @@
 //! | asserting `verdict.engine == Engine::Trace` (or `trees_checked() > 0`) on §5 race/equivalence portfolio verdicts | the default portfolio now answers these with `Engine::Automata`, `Soundness::Unbounded`, and `trees_checked() == 0` (no model enumeration backs an unbounded answer); pin `.engines([Engine::Configuration])` / `[Engine::Trace]` to keep exercising the bounded tiers, or assert on `verdict.soundness` instead of the model count |
 //! | re-verifying to strengthen a cached bounded verdict | the cache upgrades in place: an unbounded verdict replaces a resident `BoundedUpTo` entry for the same key, and a bounded re-run never downgrades a resident unbounded (or wider-bounded) verdict — `Soundness::covers` is the replacement criterion |
 //! | `Verdict { outcome, engine, soundness, elapsed, cached }` | gains `coalesced: bool` (the verdict was adopted from an identical in-flight query's single engine run) |
-//! | `.parallel(true)` first-definitive-verdict-wins dispatch | **removed** (it could cache a bounded positive over a pending engine's unbounded refutation, nondeterministically): parallel dispatch now decides by *authority* — dispatch order, unbounded engines first — and verdict + witness are identical to sequential on every run; losing engines are cooperatively cancelled |
+//! | `.parallel(true)` on the builder, the serve option and CLI flag of the same name, and the verdict's deadline-degradation flag (in `Verdict`, `ServingStats` and the verify / `stats` responses) | **removed**: every query runs one path — engines in authority order (`Verifier::builder().engines([…])`, unbounded engines first by default), first answer wins — so verdict + witness never depend on timing; a deadline (`Verifier::builder().default_deadline(Duration)`, `ServeOptions::deadline_ms`, `--deadline-ms`) or `Verifier::abort_inflight` resolves as `VerifyError::DeadlineExceeded`, never a best-effort verdict; exhaustive `Verdict` / `ServingStats` literals drop the field |
 //! | looping `verifier.verify(q)` over a batch | `verifier.verify_batch(&[q1, q2, …])` — worker-thread fan-out, results in input order, duplicates coalesced |
-//! | hand-rolled serving loops around a `Verifier` | `retreet_serve::Service` + `serve_lines` / `serve_tcp` (NDJSON protocol), or the `retreet-serve` binary (`--listen ADDR --warm-start --parallel`) |
-//! | `check_data_race` / `check_equivalence` / `check_validity` in a portfolio worker | the `*_cancellable(…, cancel: &AtomicBool)` variants — return `None` instead of a verdict once the flag is raised |
+//! | hand-rolled serving loops around a `Verifier` | `retreet_serve::Service` + `serve_lines` / `serve_tcp` (NDJSON protocol), or the `retreet-serve` binary (`--listen ADDR --warm-start`) |
+//! | `check_data_race` / `check_equivalence` / `check_validity` under a deadline | the `*_cancellable(…, cancel: &AtomicBool)` variants — return `None` instead of a verdict once the flag is raised |
 //! | `retreet_analysis::interp::run(&p, &tree)` in a hot loop | `retreet_runtime::exec::ProgramExecutor::new(&p)` (or `with_verifier(&verifier, &p)` for certified iterative lowering) + `executor.run(&tree)` — compile once, run on the VM many times, interpreter fallback when the program doesn't compile |
 //! | one-shot compiled execution | `retreet_runtime::run_compiled(&p, &tree)` / `run_compiled_certified(&verifier, &certified_transform, &tree)` |
 //! | trusting a hand-written iterative rewrite of a recursive traversal | `retreet_codegen::compile_with_lowering(&verifier, &p)` — the lowering is synthesized, then certified via `Query::Equivalence` against a reconstruction; refusals carry the counterexample tree and the function stays on frame bytecode |
-//! | `Verdict { outcome, engine, soundness, elapsed, cached, coalesced }` | gains `degraded: bool` — a best-effort verdict returned because the per-query deadline expired after this engine finished but before the authoritative one did; degraded verdicts are never cached or persisted, so cache hits always report `degraded == false` |
-//! | `verifier.verify(q)` with unbounded patience | `Verifier::builder().default_deadline(Duration)…` (or `ServeOptions::deadline_ms` / `--deadline-ms`): the watchdog raises the cooperative cancel flag at expiry and the call resolves *typed* — a degraded best-resolved verdict or `VerifyError::DeadlineExceeded`, never a wrong or truncated answer |
 //! | `--warm-start` as the only restart story | `Verifier::builder().persist(path)` / `ServeOptions::persist` / `--persist PATH`: a crash-safe `retreet_store` record log written through on every fresh verdict and replayed on startup — warm start generalized to every verdict ever computed; `--fail-open` refuses a corrupt store instead of skipping bad records |
-//! | `ServeOptions { race_nodes, equiv_nodes, validity_nodes, valuations, parallel, cache_capacity }` | gains the robustness knobs `workers`, `cold_queue`, `deadline_ms`, `max_connections`, `drain_ms`, `persist`, `fail_open`, `faults` — exhaustive literals must append `..ServeOptions::default()` |
+//! | `ServeOptions { race_nodes, equiv_nodes, validity_nodes, valuations, cache_capacity }` | gains the robustness knobs `workers`, `cold_queue`, `deadline_ms`, `max_connections`, `drain_ms`, `persist`, `fail_open`, `faults` — exhaustive literals must append `..ServeOptions::default()` |
 //! | `Service::new(&options)` panicking on a bad store | `Service::try_new(&options)` → `Result<Service, VerifyError>` (`Service::new` still panics); `Service::finish()` drains in-flight work, joins the cold-lane workers and flushes the store — call it (or send `{"kind":"shutdown"}`) before exit |
 //! | matching serve error responses on the `error` text | every error response now carries a machine-readable `"code"` (`bad_request`, `request_too_large`, `overloaded`, `shutting_down`, `deadline_exceeded`, `unsupported`, `internal`) — dispatch on the code, not the prose |
 //! | `serve_tcp(service, listener)` accepting forever | bounded by `ServeOptions::max_connections` (excess clients get one `overloaded` line at accept) and returns cleanly after a shutdown request, draining via `Service::finish()` |

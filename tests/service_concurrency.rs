@@ -5,9 +5,9 @@
 //!
 //! * **Single-flight** — N identical concurrent queries trigger exactly one
 //!   engine run; every waiter receives the identical witness.
-//! * **Determinism** — the parallel portfolio returns the same verdict
-//!   (outcome, witness, engine provenance) as the sequential portfolio, on
-//!   every run.
+//! * **Determinism** — a verdict (outcome, witness, engine provenance,
+//!   soundness) never depends on how many threads share the verifier: every
+//!   concurrent run equals the single-thread reference.
 //! * **Accounting** — sharded-cache stats stay consistent: every lookup is
 //!   exactly one hit or miss (`hits + misses == total cache lookups`), and
 //!   the separate `collisions` diagnostic stays 0 for distinct real
@@ -17,7 +17,7 @@ use std::sync::{Arc, Barrier};
 
 use retreet_repro::retreet_lang::corpus;
 use retreet_repro::retreet_serve::{json, ServeOptions, Service};
-use retreet_repro::retreet_verify::{Query, Verifier};
+use retreet_repro::retreet_verify::{Query, Verdict, Verifier};
 
 fn shared_verifier() -> Arc<Verifier> {
     Arc::new(Verifier::builder().max_nodes(3).valuations(1).build())
@@ -129,45 +129,67 @@ fn concurrent_identical_and_distinct_queries_keep_stats_consistent() {
 }
 
 #[test]
-fn parallel_portfolio_matches_sequential_across_the_corpus_100_runs() {
-    // The §5 differential: across 100+ parallel-portfolio runs, the verdict
-    // (outcome, witness, engine provenance, soundness) must be identical to
-    // the sequential ("authoritative first") portfolio's.  Caches are off
-    // so every run exercises the real dispatch race.
-    let sequential = Verifier::builder()
-        .max_nodes(3)
-        .valuations(1)
-        .cache_capacity(0)
-        .build();
-    let parallel = Verifier::builder()
-        .max_nodes(3)
-        .valuations(1)
-        .parallel(true)
-        .cache_capacity(0)
-        .build();
-    let programs = corpus::all();
-    let mut runs = 0;
-    for round in 0..8 {
-        for (name, program) in &programs {
-            let expected = sequential.verify(Query::DataRace(program)).unwrap();
-            let got = parallel.verify(Query::DataRace(program)).unwrap();
-            runs += 1;
-            assert_eq!(
-                expected.engine, got.engine,
-                "round {round}, {name}: engine provenance drifted"
-            );
-            assert_eq!(
-                expected.soundness, got.soundness,
-                "round {round}, {name}: soundness drifted"
-            );
-            assert_eq!(
-                format!("{:?}", expected.outcome),
-                format!("{:?}", got.outcome),
-                "round {round}, {name}: outcome or witness drifted"
-            );
-        }
-    }
-    assert!(runs >= 100, "need 100+ differential runs, did {runs}");
+fn concurrent_verdicts_match_a_single_thread_reference_across_the_corpus() {
+    // The determinism differential: 8 threads share one verifier and walk
+    // the corpus from different offsets, 100+ race queries in all.  Every
+    // verdict (engine provenance, soundness, outcome and witness) must equal
+    // the single-thread reference.  The cache is off, so every query runs
+    // the portfolio instead of reading back an earlier answer.
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 2;
+    let verifier = Arc::new(
+        Verifier::builder()
+            .max_nodes(3)
+            .valuations(1)
+            .cache_capacity(0)
+            .build(),
+    );
+    let programs: Arc<Vec<_>> = Arc::new(corpus::all().into_iter().collect());
+    let describe = |verdict: &Verdict| {
+        (
+            verdict.engine,
+            verdict.soundness,
+            format!("{:?}", verdict.outcome),
+        )
+    };
+    let reference: Arc<Vec<_>> = Arc::new(
+        programs
+            .iter()
+            .map(|(_, program)| describe(&verifier.verify(Query::DataRace(program)).unwrap()))
+            .collect(),
+    );
+    let barrier = Arc::new(Barrier::new(THREADS));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|thread| {
+            let verifier = Arc::clone(&verifier);
+            let programs = Arc::clone(&programs);
+            let reference = Arc::clone(&reference);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                let mut runs = 0;
+                for round in 0..ROUNDS {
+                    for i in 0..programs.len() {
+                        let index = (i + thread * 3 + round) % programs.len();
+                        let (name, program) = &programs[index];
+                        let verdict = verifier.verify(Query::DataRace(program)).unwrap();
+                        assert_eq!(
+                            describe(&verdict),
+                            reference[index],
+                            "thread {thread}, round {round}, {name}: verdict drifted"
+                        );
+                        runs += 1;
+                    }
+                }
+                runs
+            })
+        })
+        .collect();
+    let runs: usize = handles
+        .into_iter()
+        .map(|h| h.join().expect("client thread panicked"))
+        .sum();
+    assert!(runs >= 100, "need 100+ concurrent runs, did {runs}");
 }
 
 #[test]
@@ -178,7 +200,6 @@ fn shared_service_answers_concurrent_ndjson_clients_consistently() {
         equiv_nodes: 3,
         validity_nodes: 3,
         valuations: 1,
-        parallel: false,
         cache_capacity: 1024,
         ..ServeOptions::default()
     }));
@@ -236,7 +257,6 @@ fn tcp_service_round_trips_ndjson_over_a_real_socket() {
         equiv_nodes: 3,
         validity_nodes: 3,
         valuations: 1,
-        parallel: false,
         cache_capacity: 1024,
         ..ServeOptions::default()
     }));
