@@ -237,25 +237,49 @@ impl ValueTree {
         tree
     }
 
-    /// Fills every listed field of every node with a deterministic
-    /// pseudo-random small integer derived from `seed` (a simple linear
-    /// congruential generator, good enough for differential testing and
-    /// reproducible across runs).
+    /// Fills every listed field of every node with the [`field_values`]
+    /// stream of `seed`, node-major then field-minor in `fields` order.
     pub fn fill_fields(&mut self, fields: &[&str], seed: u64) {
-        let mut state = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let nodes: Vec<NodeId> = self.nodes().collect();
-        for node in nodes {
+        let mut values = field_values(seed);
+        for i in 0..self.nodes.len() {
             for field in fields {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                // Small signed values keep the arithmetic readable in
-                // counterexamples and avoid overflow in long traversals.
-                let value = ((state >> 33) % 17) as i64 - 8;
-                self.set_field(node, field, value);
+                let value = values.next().expect("the value stream never ends");
+                self.set_field(NodeId(i as u32), field, value);
             }
+        }
+    }
+}
+
+/// The deterministic pseudo-random small integers [`ValueTree::fill_fields`]
+/// assigns, in assignment order: a simple linear congruential generator
+/// seeded by `seed`, good enough for differential testing and reproducible
+/// across runs.  Every builder of seeded trees draws from this one stream.
+pub fn field_values(seed: u64) -> impl Iterator<Item = i64> {
+    fn step(state: u64) -> u64 {
+        state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407)
+    }
+    let mut state = step(seed);
+    std::iter::repeat_with(move || {
+        state = step(state);
+        // Small signed values keep the arithmetic readable in
+        // counterexamples and avoid overflow in long traversals.
+        ((state >> 33) % 17) as i64 - 8
+    })
+}
+
+/// Nodes of the complete tree [`ValueTree::complete_kary`] builds,
+/// `(arity^height - 1) / (arity - 1)`, or `None` when `arity^height`
+/// overflows `usize`.  Computed without allocating, so callers can bound a
+/// requested tree before building it.
+pub fn complete_node_count(arity: u8, height: usize) -> Option<usize> {
+    match arity as usize {
+        0 => Some(height.min(1)),
+        1 => Some(height),
+        k => {
+            let power = k.checked_pow(u32::try_from(height).ok()?)?;
+            Some((power - 1) / (k - 1))
         }
     }
 }
@@ -511,6 +535,32 @@ mod tests {
         assert_eq!(a, b, "filling is deterministic");
         b.fill_fields(&["v"], 8);
         assert_ne!(a, b, "different seeds give different valuations");
+    }
+
+    #[test]
+    fn fill_draws_the_value_stream_node_major_field_minor() {
+        let mut tree = ValueTree::complete_kary(3, 2, &[], |_, _| 0);
+        tree.fill_fields(&["a", "b"], 5);
+        let stream: Vec<i64> = field_values(5).take(8).collect();
+        for (i, pair) in stream.chunks(2).enumerate() {
+            assert_eq!(tree.field(NodeId(i as u32), "a"), pair[0]);
+            assert_eq!(tree.field(NodeId(i as u32), "b"), pair[1]);
+        }
+    }
+
+    #[test]
+    fn complete_node_count_matches_built_trees_and_overflows_to_none() {
+        for arity in 1..=8u8 {
+            for height in 1..=4 {
+                let tree = ValueTree::complete_kary(arity, height, &[], |_, _| 0);
+                assert_eq!(complete_node_count(arity, height), Some(tree.len()));
+            }
+        }
+        assert_eq!(complete_node_count(2, 16), Some(65_535));
+        assert_eq!(complete_node_count(3, 16), Some(21_523_360));
+        assert_eq!(complete_node_count(8, 16), Some(40_210_710_958_665));
+        assert_eq!(complete_node_count(8, 40), None);
+        assert_eq!(complete_node_count(2, usize::MAX), None);
     }
 
     #[test]

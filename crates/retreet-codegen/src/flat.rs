@@ -3,11 +3,15 @@
 //! The interpreter walks a [`ValueTree`] whose per-node fields live in a
 //! `BTreeMap<String, i64>` — every field access hashes a string.  The VM
 //! instead addresses nodes by dense `u32` index and fields by compile-time
-//! resolved column id: a [`FlatTree`] is a structure-of-arrays view (left
-//! child, right child, one `i64` column per field) built once per run from
-//! the input [`ValueTree`] and written back once at the end.
+//! resolved column id: a [`FlatTree`] is a structure-of-arrays tree (one
+//! child column per axis, one `i64` column per field).  A seeded complete
+//! tree is built straight into columns by [`FlatTree::complete`], with no
+//! [`ValueTree`] in between; any other input is flattened from its
+//! [`ValueTree`] by [`FlatTree::from_value_tree_kary`], and
+//! [`FlatTree::write_back`] turns the columns back into one when a caller
+//! needs the post-run tree.
 
-use retreet_analysis::vtree::{NodeId, ValueTree};
+use retreet_analysis::vtree::{complete_node_count, field_values, NodeId, ValueTree};
 
 /// The nil sentinel: `u32::MAX` marks an absent child (and the nil node a
 /// callee may legally run on).
@@ -15,7 +19,7 @@ pub const NIL: u32 = u32::MAX;
 
 /// A structure-of-arrays k-ary tree with integer field columns: one dense
 /// `u32` child column per axis, one `i64` column per field.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatTree {
     children: Vec<Vec<u32>>,
     columns: Vec<Vec<i64>>,
@@ -51,6 +55,51 @@ impl FlatTree {
                     .collect()
             })
             .collect();
+        FlatTree { children, columns }
+    }
+
+    /// Builds the complete `arity`-ary tree of `height` levels with every
+    /// field of `fields` seeded from `seed` — column for column what
+    /// [`FlatTree::from_value_tree_kary`] makes of
+    /// `ValueTree::complete_kary(arity, height, fields, |_, _| 0)` after
+    /// `fill_fields(fields, seed)`: the same node numbering (a node's
+    /// children are allocated together, before any of them is expanded) and
+    /// the same [`field_values`] stream, node-major then field-minor.
+    /// `fields` must be distinct, like the columns of a compiled program.
+    ///
+    /// # Panics
+    ///
+    /// When `height` or `arity` is 0, or the tree has more nodes than `u32`
+    /// indices can address.
+    pub fn complete(arity: u8, height: usize, fields: &[String], seed: u64) -> Self {
+        assert!(height >= 1 && arity >= 1);
+        let n = complete_node_count(arity, height)
+            .filter(|&n| n < NIL as usize)
+            .expect("complete tree fits u32 node indices");
+        let mut children = vec![vec![NIL; n]; arity.max(2) as usize];
+        // Depth-first expansion with an explicit stack of (node, levels
+        // below it); children are pushed in reverse so the first axis is
+        // expanded first, exactly as the recursive builder does.
+        let mut next = 1u32;
+        let mut stack = vec![(0u32, height - 1)];
+        while let Some((node, below)) = stack.pop() {
+            if below == 0 {
+                continue;
+            }
+            let first = next;
+            next += u32::from(arity);
+            for (axis, column) in children.iter_mut().take(arity as usize).enumerate() {
+                column[node as usize] = first + axis as u32;
+            }
+            stack.extend((first..next).rev().map(|child| (child, below - 1)));
+        }
+        let mut columns: Vec<Vec<i64>> = fields.iter().map(|_| Vec::with_capacity(n)).collect();
+        let mut values = field_values(seed);
+        for _ in 0..n {
+            for column in &mut columns {
+                column.push(values.next().expect("the value stream never ends"));
+            }
+        }
         FlatTree { children, columns }
     }
 
@@ -174,6 +223,32 @@ mod tests {
         assert_eq!(back.field(root, "w"), 42);
         assert_eq!(back.field(l, "v"), -3);
         assert!(trees_agree(&back, &back));
+    }
+
+    #[test]
+    fn complete_matches_the_flattened_value_tree_bit_for_bit() {
+        let fields: Vec<String> = ["c", "v", "w"].iter().map(|f| f.to_string()).collect();
+        let refs: Vec<&str> = fields.iter().map(String::as_str).collect();
+        for arity in 2..=8u8 {
+            let max_height = if arity == 2 { 6 } else { 4 };
+            for height in 1..=max_height {
+                for seed in [0u64, 11, 97] {
+                    for width in 0..=fields.len() {
+                        let mut tree =
+                            ValueTree::complete_kary(arity, height, &refs[..width], |_, _| 0);
+                        tree.fill_fields(&refs[..width], seed);
+                        let expected =
+                            FlatTree::from_value_tree_kary(&tree, &fields[..width], arity);
+                        let built = FlatTree::complete(arity, height, &fields[..width], seed);
+                        assert_eq!(
+                            built, expected,
+                            "arity {arity}, height {height}, seed {seed}, {width} fields"
+                        );
+                        assert_eq!(built.len(), tree.len());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,19 @@
 //! Program execution with tier selection: compiled bytecode first, the
 //! reference interpreter as fallback.
 //!
-//! A [`ProgramExecutor`] is built once per program and reused across trees:
-//! it holds the compiled [`CompiledProgram`] (when compilation succeeded), a
-//! pooled [`Vm`] behind a mutex, and the interpreter's prebuilt
-//! [`BlockTable`] for the fallback path.  Construction through
+//! A [`ProgramExecutor`] is built once per program and reused across trees,
+//! from any number of threads at once: it holds the compiled
+//! [`CompiledProgram`] (when compilation succeeded) and the interpreter's
+//! prebuilt [`BlockTable`] for the fallback path; every run gets a fresh
+//! [`Vm`], whose pools only grow to the run's depth × register window.
+//!
+//! Two entry points take two kinds of input.  [`ProgramExecutor::run`]
+//! executes on a caller's [`ValueTree`] and returns the post-run tree (the
+//! differential tests' surface).  [`ProgramExecutor::run_complete`] takes a
+//! seeded complete tree by its `(arity, height, seed)` alone and returns no
+//! tree: on the VM tier it builds a [`FlatTree`] straight from those three
+//! numbers, runs on it and drops it, so no [`ValueTree`] is ever built.
+//! Construction through
 //! [`ProgramExecutor::with_verifier`] additionally runs the certified
 //! iterative-lowering pipeline of `retreet-codegen`, so self-recursive
 //! traversals execute as explicit-worklist loops — but only when the
@@ -16,12 +25,12 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use retreet_analysis::interp::{self, InterpError};
 use retreet_analysis::vtree::ValueTree;
 use retreet_codegen::{
-    compile, compile_with_lowering, CompiledProgram, LoweringCertificate, Vm, VmError,
+    compile, compile_with_lowering, program_fields, run_program, CompiledProgram, FlatTree,
+    LoweringCertificate, Vm, VmError,
 };
 use retreet_lang::ast::Program;
 use retreet_lang::blocks::BlockTable;
@@ -58,6 +67,18 @@ pub struct ExecOutcome {
     pub tier: ExecTier,
 }
 
+/// The result of [`ProgramExecutor::run_complete`]: `Main`'s values, the
+/// tier that produced them and the size of the tree they ran on — no tree.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompleteRun {
+    /// Values returned by `Main`.
+    pub returns: Vec<i64>,
+    /// The tier that executed the program.
+    pub tier: ExecTier,
+    /// Nodes of the complete tree the program ran on.
+    pub nodes: usize,
+}
+
 /// A runtime failure, from whichever tier ran.
 #[derive(Debug, Clone)]
 pub enum ExecError {
@@ -83,7 +104,8 @@ impl std::error::Error for ExecError {}
 pub struct ProgramExecutor {
     table: BlockTable,
     compiled: Option<CompiledProgram>,
-    vm: Mutex<Vm>,
+    /// The fields the interpreter fallback of [`Self::run_complete`] seeds.
+    fields: Vec<String>,
     vm_runs: AtomicU64,
     interp_runs: AtomicU64,
 }
@@ -109,13 +131,13 @@ impl ProgramExecutor {
         ProgramExecutor {
             table: BlockTable::build(program),
             compiled,
-            vm: Mutex::new(Vm::new()),
+            fields: program_fields(program),
             vm_runs: AtomicU64::new(0),
             interp_runs: AtomicU64::new(0),
         }
     }
 
-    /// The tier [`Self::run`] will use.
+    /// The tier [`Self::run`] and [`Self::run_complete`] will use.
     pub fn tier(&self) -> ExecTier {
         if self.compiled.is_some() {
             ExecTier::Vm
@@ -138,12 +160,7 @@ impl ProgramExecutor {
     pub fn run(&self, tree: &ValueTree) -> Result<ExecOutcome, ExecError> {
         match &self.compiled {
             Some(compiled) => {
-                let result = self
-                    .vm
-                    .lock()
-                    .expect("vm lock")
-                    .run(compiled, tree)
-                    .map_err(ExecError::Vm)?;
+                let result = run_program(compiled, tree).map_err(ExecError::Vm)?;
                 self.vm_runs.fetch_add(1, Ordering::Relaxed);
                 Ok(ExecOutcome {
                     returns: result.returns,
@@ -152,6 +169,50 @@ impl ProgramExecutor {
                 })
             }
             None => self.run_interpreted(tree),
+        }
+    }
+
+    /// Runs the program on the complete `arity`-ary tree of `height` levels
+    /// whose fields are seeded from `seed` — the tree
+    /// `ValueTree::complete_kary` + `fill_fields` would build — preferring
+    /// the compiled tier.  The VM tier builds that tree directly as a
+    /// [`FlatTree`] and drops it after the run; only the interpreter
+    /// fallback builds the [`ValueTree`].
+    ///
+    /// # Panics
+    ///
+    /// When `height` or `arity` is 0; callers bound the tree's node count
+    /// before asking for it.
+    pub fn run_complete(
+        &self,
+        arity: u8,
+        height: usize,
+        seed: u64,
+    ) -> Result<CompleteRun, ExecError> {
+        match &self.compiled {
+            Some(compiled) => {
+                let mut tree = FlatTree::complete(arity, height, &compiled.fields, seed);
+                let returns = Vm::new()
+                    .run_flat(compiled, &mut tree)
+                    .map_err(ExecError::Vm)?;
+                self.vm_runs.fetch_add(1, Ordering::Relaxed);
+                Ok(CompleteRun {
+                    returns,
+                    tier: ExecTier::Vm,
+                    nodes: tree.len(),
+                })
+            }
+            None => {
+                let fields: Vec<&str> = self.fields.iter().map(String::as_str).collect();
+                let mut tree = ValueTree::complete_kary(arity, height, &fields, |_, _| 0);
+                tree.fill_fields(&fields, seed);
+                let outcome = self.run_interpreted(&tree)?;
+                Ok(CompleteRun {
+                    returns: outcome.returns,
+                    tier: outcome.tier,
+                    nodes: tree.len(),
+                })
+            }
         }
     }
 
@@ -229,6 +290,59 @@ mod tests {
             ),
             "interpreter surfaces the unknown callee at run time"
         );
+    }
+
+    /// The interpreter's answer on the seeded complete tree `run_complete`
+    /// is asked for.
+    fn interpreted_on_complete(
+        executor: &ProgramExecutor,
+        program: &Program,
+        arity: u8,
+        height: usize,
+        seed: u64,
+    ) -> ExecOutcome {
+        let fields = program_fields(program);
+        let fields: Vec<&str> = fields.iter().map(String::as_str).collect();
+        let mut tree = ValueTree::complete_kary(arity, height, &fields, |_, _| 0);
+        tree.fill_fields(&fields, seed);
+        executor.run_interpreted(&tree).expect("interp run")
+    }
+
+    #[test]
+    fn run_complete_falls_back_to_the_interpreter() {
+        let program = retreet_lang::parser::parse_program(
+            "fn Main(n) { if (n == nil) { x = Ghost(n); return x; } else { v = n.v; return v; } }",
+        )
+        .expect("parse");
+        let executor = ProgramExecutor::new(&program);
+        assert_eq!(executor.tier(), ExecTier::Interpreter);
+        let run = executor.run_complete(2, 3, 9).expect("interp");
+        let expected = interpreted_on_complete(&executor, &program, 2, 3, 9);
+        assert_eq!(run.tier, ExecTier::Interpreter);
+        assert_eq!(run.returns, expected.returns);
+        assert_eq!(run.nodes, 7);
+    }
+
+    #[test]
+    fn concurrent_runs_of_one_executor_each_match_the_interpreter() {
+        let program = corpus::kdtree_closest();
+        let executor = ProgramExecutor::new(&program);
+        assert_eq!(executor.tier(), ExecTier::Vm);
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for seed in [3u64, 5, 7, 11] {
+                let (executor, program, barrier) = (&executor, &program, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for _ in 0..3 {
+                        let fast = executor.run_complete(2, 9, seed).expect("vm");
+                        let slow = interpreted_on_complete(executor, program, 2, 9, seed);
+                        assert_eq!(fast.returns, slow.returns, "seed {seed}");
+                    }
+                });
+            }
+        });
+        assert_eq!(executor.vm_runs(), 12);
     }
 
     #[test]

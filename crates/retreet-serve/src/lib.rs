@@ -22,13 +22,17 @@
 //! * `batch` — `queries`: an array of the above; answered through
 //!   [`Verifier::verify_batch`], results in input order.
 //! * `run` — `program` plus optional `height` (complete-tree height, default
-//!   6, capped), `seed` (field valuation) and `arity` (complete-tree arity,
+//!   6), `seed` (field valuation) and `arity` (complete-tree arity,
 //!   default: the program's declared arity, so binary programs run on binary
-//!   complete trees; out-of-range axes are a `bad_request`); *executes* the
-//!   program through the `retreet-runtime` compiled tier (bytecode VM with
-//!   certified iterative lowering, interpreter fallback) and answers with
-//!   the returned values, the executing tier and the certified-lowered
-//!   functions.  Executors are compiled once per distinct source and cached.
+//!   complete trees; out-of-range axes are a `bad_request`); a tree of more
+//!   than 65,535 nodes is a `bad_request`, refused before it is built.
+//!   *Executes* the program through the `retreet-runtime` compiled tier
+//!   ([`retreet_runtime::ProgramExecutor::run_complete`]: bytecode VM with
+//!   certified iterative lowering on a tree built straight into columns,
+//!   interpreter fallback) and answers with the returned values, the
+//!   executing tier, the certified-lowered functions, the tree's `nodes`
+//!   and `elapsed_us`, which covers building the tree and running on it.
+//!   Executors are compiled once per distinct source and cached.
 //! * `tune` — `program` plus optional `height` / `seed` / `arity` (same
 //!   rules as `run`): runs the certified schedule autotuner
 //!   (`retreet_runtime::tune_and_compile`) over the program's pass pipeline
@@ -105,7 +109,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use retreet_analysis::vtree::ValueTree;
 use retreet_lang::ast::Program;
 use retreet_lang::corpus;
 use retreet_mso::formula::Formula;
@@ -595,33 +598,18 @@ impl Service {
                 return error_response(id, "bad_request", &format!("cannot parse `program`: {err}"))
             }
         };
-        let height = match request.get("height") {
-            None => DEFAULT_RUN_HEIGHT,
-            Some(Value::Number(h)) if *h >= 1.0 && *h <= MAX_RUN_HEIGHT as f64 => *h as usize,
-            Some(_) => {
-                return error_response(
-                    id,
-                    "bad_request",
-                    &format!("`height` must be a number between 1 and {MAX_RUN_HEIGHT}"),
-                )
-            }
-        };
         let seed = match request.get("seed") {
             None => 0,
             Some(Value::Number(s)) => *s as u64,
             Some(_) => return error_response(id, "bad_request", "`seed` must be a number"),
         };
-        let arity = match parse_arity(request, &program) {
-            Ok(arity) => arity,
+        let (arity, height) = match parse_tree_shape(request, &program, DEFAULT_RUN_HEIGHT) {
+            Ok(shape) => shape,
             Err(err) => return error_response(id, "bad_request", &err),
         };
         let executor = self.executor_for(source, &program);
-        let fields = retreet_codegen::program_fields(&program);
-        let field_refs: Vec<&str> = fields.iter().map(String::as_str).collect();
-        let mut tree = ValueTree::complete_kary(arity, height, &field_refs, |_, _| 0);
-        tree.fill_fields(&field_refs, seed);
         let started = std::time::Instant::now();
-        match executor.run(&tree) {
+        match executor.run_complete(arity, height, seed) {
             Ok(outcome) => {
                 match outcome.tier {
                     ExecTier::Vm => self.vm_runs.fetch_add(1, Ordering::Relaxed),
@@ -641,7 +629,7 @@ impl Service {
                     outcome.tier,
                     returns.join(","),
                     lowered.join(","),
-                    tree.len(),
+                    outcome.nodes,
                     started.elapsed().as_micros(),
                 ));
                 out
@@ -675,17 +663,6 @@ impl Service {
                 &format!("`program` nests deeper than {MAX_PROGRAM_NESTING} levels"),
             );
         }
-        let height = match request.get("height") {
-            None => DEFAULT_TUNE_HEIGHT,
-            Some(Value::Number(h)) if *h >= 1.0 && *h <= MAX_RUN_HEIGHT as f64 => *h as usize,
-            Some(_) => {
-                return error_response(
-                    id,
-                    "bad_request",
-                    &format!("`height` must be a number between 1 and {MAX_RUN_HEIGHT}"),
-                )
-            }
-        };
         let seed = match request.get("seed") {
             None => 0,
             Some(Value::Number(s)) => *s as u64,
@@ -697,8 +674,8 @@ impl Service {
                 return error_response(id, "bad_request", &format!("cannot parse `program`: {err}"))
             }
         };
-        let arity = match parse_arity(request, &program) {
-            Ok(arity) => arity,
+        let (arity, height) = match parse_tree_shape(request, &program, DEFAULT_TUNE_HEIGHT) {
+            Ok(shape) => shape,
             Err(err) => return error_response(id, "bad_request", &err),
         };
         let cache_key = format!("{source}\u{1f}{height}\u{1f}{seed}\u{1f}{arity}");
@@ -896,14 +873,17 @@ impl Drop for Service {
 const DEFAULT_RUN_HEIGHT: usize = 6;
 
 /// Default measurement-tree height for `tune` requests — taller than the
-/// `run` default so VM timings dominate dispatch overhead, still well under
-/// the [`MAX_RUN_HEIGHT`] allocation bound.
+/// `run` default so VM timings dominate dispatch overhead.  Up to arity 4
+/// it stays under the [`MAX_RUN_NODES`] allocation bound; a wider tree
+/// needs an explicit, lower `height`.
 const DEFAULT_TUNE_HEIGHT: usize = 8;
 
-/// Largest complete-tree height a `run` request may ask for (2^16 - 1 nodes
-/// ≈ 0.5 MB per field column — bounded, so a hostile request cannot make the
-/// shared service allocate without limit).
-const MAX_RUN_HEIGHT: usize = 16;
+/// Most nodes the complete tree of a `run` or `tune` request may have: a
+/// binary tree of height 16 (≈ 0.5 MB per field column).  The bound is on
+/// nodes, not height, since a height that is harmless for a binary tree
+/// asks for billions of nodes at arity 8; it keeps a hostile request from
+/// making the shared service allocate without limit.
+const MAX_RUN_NODES: usize = 65_535;
 
 /// Most compiled executors the service keeps cached; see
 /// [`Service::executor_for`].
@@ -1031,6 +1011,31 @@ fn parse_arity(
         ));
     }
     Ok(requested)
+}
+
+/// Parses the `arity` (see [`parse_arity`]) and optional `height` (a number
+/// of at least 1, `default_height` when absent) of a `run`/`tune` request's
+/// complete tree, then bounds the tree's node count by [`MAX_RUN_NODES`],
+/// computed before anything is allocated.
+fn parse_tree_shape(
+    request: &std::collections::BTreeMap<String, Value>,
+    program: &Program,
+    default_height: usize,
+) -> Result<(u8, usize), String> {
+    let height = match request.get("height") {
+        None => default_height,
+        Some(Value::Number(h)) if *h >= 1.0 => *h as usize,
+        Some(_) => return Err(String::from("`height` must be a number of at least 1")),
+    };
+    let arity = parse_arity(request, program)?;
+    match retreet_analysis::vtree::complete_node_count(arity, height) {
+        Some(nodes) if nodes <= MAX_RUN_NODES => Ok((arity, height)),
+        nodes => Err(format!(
+            "a complete arity-{arity} tree of height {height} has {} nodes, \
+             more than the {MAX_RUN_NODES} a request may ask for",
+            nodes.map_or_else(|| format!("more than {}", usize::MAX), |n| n.to_string())
+        )),
+    }
 }
 
 fn push_id(out: &mut String, id: Option<&Value>) {
@@ -1473,6 +1478,7 @@ mod tests {
             "{response}"
         );
         assert_eq!(field(&response, "tier").as_str(), Some("vm"));
+        assert_eq!(field(&response, "nodes"), Value::Number(31.0));
         // A complete height-5 tree: layers 1/3/5 hold 1+4+16 = 21 nodes,
         // layers 2/4 hold 2+8 = 10.
         let returns = field(&response, "returns");
@@ -1539,6 +1545,29 @@ mod tests {
             "{response}"
         );
         assert_eq!(field(&response, "nodes"), Value::Number(13.0));
+    }
+
+    #[test]
+    fn uncompilable_run_programs_answer_on_the_interpreter_tier() {
+        let service = quick_service();
+        // The compiler rejects the unknown callee; the interpreter only
+        // faults on it when the nil branch runs, which the root never takes.
+        let program = json::escape(
+            "fn Main(n) { if (n == nil) { x = Ghost(n); return x; } else { v = n.v; return v; } }",
+        );
+        let request = format!(r#"{{"kind": "run", "program": "{program}", "height": 4}}"#);
+        let response = service.handle_line(&request);
+        assert_eq!(
+            field(&response, "status").as_str(),
+            Some("ok"),
+            "{response}"
+        );
+        assert_eq!(field(&response, "tier").as_str(), Some("interpreter"));
+        assert_eq!(field(&response, "nodes"), Value::Number(15.0));
+        let stats = json::parse(&service.handle_line(r#"{"kind": "stats"}"#)).unwrap();
+        let codegen = stats.as_object().unwrap()["codegen"].as_object().unwrap();
+        assert_eq!(codegen["interp_runs"], Value::Number(1.0));
+        assert_eq!(codegen["vm_runs"], Value::Number(0.0));
     }
 
     #[test]

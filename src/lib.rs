@@ -91,6 +91,7 @@
 //! | hand-rolled serving loops around a `Verifier` | `retreet_serve::Service` + `serve_lines` / `serve_tcp` (NDJSON protocol), or the `retreet-serve` binary (`--listen ADDR --warm-start`) |
 //! | `check_data_race` / `check_equivalence` / `check_validity` under a deadline | the `*_cancellable(…, cancel: &AtomicBool)` variants — return `None` instead of a verdict once the flag is raised |
 //! | `retreet_analysis::interp::run(&p, &tree)` in a hot loop | `retreet_runtime::exec::ProgramExecutor::new(&p)` (or `with_verifier(&verifier, &p)` for certified iterative lowering) + `executor.run(&tree)` — compile once, run on the VM many times, interpreter fallback when the program doesn't compile |
+//! | building `ValueTree::complete_kary(arity, height, &fields, …)` + `fill_fields(&fields, seed)` only to call `executor.run(&tree)` and read `returns` | `executor.run_complete(arity, height, seed)` → `CompleteRun { returns, tier, nodes }`: on the VM tier the seeded tree is built as `FlatTree::complete(arity, height, &fields, seed)` columns and never as a `ValueTree` (the interpreter fallback still builds one); `run(&tree)` stays for callers that need the post-run tree |
 //! | one-shot compiled execution | `retreet_runtime::run_compiled(&p, &tree)` / `run_compiled_certified(&verifier, &certified_transform, &tree)` |
 //! | trusting a hand-written iterative rewrite of a recursive traversal | `retreet_codegen::compile_with_lowering(&verifier, &p)` — the lowering is synthesized, then certified via `Query::Equivalence` against a reconstruction; refusals carry the counterexample tree and the function stays on frame bytecode |
 //! | `--warm-start` as the only restart story | `Verifier::builder().persist(path)` / `ServeOptions::persist` / `--persist PATH`: a crash-safe `retreet_store` record log written through on every fresh verdict and replayed on startup — warm start generalized to every verdict ever computed; `--fail-open` refuses a corrupt store instead of skipping bad records |

@@ -2,7 +2,10 @@
 //! and tree we can enumerate or generate, the `retreet-codegen` VM must be
 //! observationally identical to the reference interpreter — same returns,
 //! same post-run tree, same error class — and every iterative lowering the
-//! compiler applies must carry an equivalence certificate.
+//! compiler applies must carry an equivalence certificate.  The executor's
+//! `run_complete`, which builds its tree as columns and never as a
+//! `ValueTree`, must return what the interpreter returns on the
+//! `ValueTree` built from the same `(arity, height, seed)`.
 
 use proptest::prelude::*;
 use retreet_analysis::interp;
@@ -13,6 +16,7 @@ use retreet_codegen::{
 };
 use retreet_lang::blocks::BlockTable;
 use retreet_lang::{ast::Program, corpus};
+use retreet_runtime::{ExecTier, ProgramExecutor};
 use retreet_transform::{fuse_main_passes, synthesize_parallel_main};
 use retreet_verify::Verifier;
 
@@ -57,6 +61,47 @@ fn vm_matches_interpreter_on_the_full_corpus() {
                 let mut tree = ValueTree::complete(height, &field_refs, |_, _| 0);
                 tree.fill_fields(&field_refs, seed);
                 assert_tiers_agree(name, &program, &mut vm, &tree);
+            }
+        }
+    }
+}
+
+#[test]
+fn run_complete_matches_interpreter_on_the_value_tree_across_the_corpus() {
+    // `run_complete` builds its tree as columns from `(arity, height,
+    // seed)`; the interpreter runs on the `ValueTree` those three numbers
+    // build.  Both tree arities are covered: the program's own and one
+    // above it, whose extra axis the program never visits.
+    let verifier = Verifier::builder().build();
+    for (name, program) in corpus::all() {
+        if compile(&program).is_err() {
+            continue;
+        }
+        let executor = ProgramExecutor::with_verifier(&verifier, &program);
+        assert_eq!(executor.tier(), ExecTier::Vm, "{name}");
+        let table = BlockTable::build(&program);
+        let fields = fields_of(&program);
+        let field_refs: Vec<&str> = fields.iter().map(String::as_str).collect();
+        let arity = program.arity.max(2);
+        for tree_arity in [arity, arity + 1] {
+            for height in [1, 3, 5] {
+                for seed in [0u64, 11, 42] {
+                    let mut tree =
+                        ValueTree::complete_kary(tree_arity, height, &field_refs, |_, _| 0);
+                    tree.fill_fields(&field_refs, seed);
+                    let label = format!("{name}: arity {tree_arity}, height {height}, seed {seed}");
+                    match (
+                        interp::run_with_table(&table, &tree),
+                        executor.run_complete(tree_arity, height, seed),
+                    ) {
+                        (Ok(expected), Ok(actual)) => {
+                            assert_eq!(expected.returns, actual.returns, "{label}");
+                            assert_eq!(tree.len(), actual.nodes, "{label}");
+                        }
+                        (Err(_), Err(_)) => {}
+                        (exp, act) => panic!("{label}: interp={exp:?} run_complete={act:?}"),
+                    }
+                }
             }
         }
     }
